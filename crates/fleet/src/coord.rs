@@ -29,18 +29,25 @@
 //!
 //! # Recovery
 //!
-//! Before dispatching, the coordinator resumes from its own run dir, then
-//! harvests `GET /v1/records` from every worker: any record whose input
-//! hash matches a wanted tile is adopted (and re-checkpointed locally),
-//! so a coordinator restart loses no finished work even when its own run
-//! dir is gone — the workers' checkpoints are the durable copy.
+//! The run lifecycle — run dir, resume, checkpointing, progress, tile
+//! budget, stitching, both manifests — is [`cardopc_runtime::drive`], the
+//! driver the in-process runtime uses too; this module supplies only the
+//! executor above and a recovery hook. The driver resumes from the
+//! coordinator's own run dir; the hook then sends the still-wanted tiles'
+//! input hashes to every worker (`POST /v1/records`), and the driver
+//! adopts each returned record whose tile index and hash match, and
+//! re-checkpoints it locally. A coordinator restart therefore loses no
+//! finished work even when its own run dir is gone (the workers'
+//! checkpoints are the durable copy), a run dir either executor started
+//! the other can finish, and recovery costs grow with the job, not with
+//! a worker's age.
 
 use crate::client;
 use crate::proto;
 use crate::spec::WorkSpec;
 use cardopc_runtime::{
-    partition_clip, stitch::StitchAccumulator, tile_input_hash, RunControl, RunDir, RunManifest,
-    RuntimeError, ScheduleOutcome, Stitched, TileEvent, TileRecord, TileResult,
+    drive, PendingTile, RunConfig, RunControl, RunManifest, RunOutcome, RuntimeError,
+    ScheduleOutcome, Stitched, TileDone, TileRecord,
 };
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -113,7 +120,8 @@ pub struct FleetStats {
 }
 
 /// Result of a fleet run. `outcome`/`stitched`/`manifest` mirror a
-/// single-process [`cardopc_runtime::RunOutcome`] over the same input.
+/// single-process [`RunOutcome`] over the same input (and convert into
+/// one).
 #[derive(Clone, Debug)]
 pub struct FleetOutcome {
     /// The run manifest (timing-free form byte-identical to the
@@ -131,6 +139,19 @@ pub struct FleetOutcome {
     pub complete: bool,
     /// `true` when the run stopped early on a cancelled handle.
     pub cancelled: bool,
+}
+
+impl From<FleetOutcome> for RunOutcome {
+    fn from(fleet: FleetOutcome) -> RunOutcome {
+        RunOutcome {
+            manifest: fleet.manifest,
+            stitched: fleet.stitched,
+            outcome: fleet.outcome,
+            recovered: fleet.stats.recovered,
+            complete: fleet.complete,
+            cancelled: fleet.cancelled,
+        }
+    }
 }
 
 /// Why a fleet run could not produce an outcome.
@@ -196,10 +217,6 @@ struct State {
     workers: Vec<WorkerSlot>,
     alive: usize,
     stats: FleetStats,
-    records: Vec<TileRecord>,
-    accumulator: StitchAccumulator,
-    completed: usize,
-    io_error: Option<RuntimeError>,
     /// Lowest-indexed tile whose dispatch failed with a worker-side tile
     /// error (HTTP 500) — surfaced if the run cannot complete.
     tile_error: Option<(usize, String)>,
@@ -210,11 +227,10 @@ struct State {
 struct Shared<'a> {
     state: Mutex<State>,
     cv: Condvar,
-    sink: Mutex<Option<std::fs::File>>,
     spec: &'a WorkSpec,
     config: &'a FleetConfig,
     control: &'a RunControl<'a>,
-    total: usize,
+    done: &'a TileDone<'a>,
 }
 
 impl Shared<'_> {
@@ -247,127 +263,106 @@ pub fn run_fleet(
     config: &FleetConfig,
     control: &RunControl<'_>,
 ) -> Result<FleetOutcome, FleetError> {
-    let start = Instant::now();
     if config.workers.is_empty() {
         return Err(FleetError::NoWorkers);
     }
     let clip = spec.build_clip().map_err(FleetError::Spec)?;
-    let partition = partition_clip(&clip, &spec.tiling)?;
-    let total = partition.tiles.len();
-    let hashes: Vec<u64> = partition
-        .tiles
-        .iter()
-        .map(|t| tile_input_hash(t, &spec.opc))
-        .collect();
-
-    let run_dir = match &config.run_dir {
-        Some(path) => Some(RunDir::open(path)?),
-        None => None,
+    let run = RunConfig {
+        opc: spec.opc.clone(),
+        tiling: spec.tiling,
+        run_dir: config.run_dir.clone(),
+        max_tiles: config.max_tiles,
     };
-    let checkpoints = match &run_dir {
-        Some(dir) => dir.load_records()?,
-        None => Default::default(),
+    let control = RunControl {
+        engines: None,
+        cache: None,
+        ..*control
     };
-    let mut sink = match &run_dir {
-        Some(dir) => Some(dir.append_handle()?),
-        None => None,
-    };
-
-    // Resume from the coordinator's own checkpoints.
-    let mut results: Vec<TileResult> = Vec::with_capacity(total);
-    let mut wanted: Vec<bool> = vec![true; total];
-    for (i, tile) in partition.tiles.iter().enumerate() {
-        if let Some(record) = checkpoints.get(&tile.index) {
-            if record.input_hash == hashes[i] {
-                wanted[i] = false;
-                results.push(TileResult {
-                    record: record.clone(),
-                    resumed: true,
-                    cached: false,
-                });
-            }
-        }
-    }
-    let resumed = results.len();
-
-    // Recovery: adopt matching records from the workers' checkpoints.
-    // A fresh or unreachable worker simply contributes nothing here.
+    let recover = |wanted: &[PendingTile<'_>]| recover_from_workers(config, wanted);
     let mut stats = FleetStats::default();
+    let run = drive(
+        &clip,
+        &run,
+        config.workers.len(),
+        &control,
+        Some(&recover),
+        |_, todo, done| {
+            stats = dispatch(spec, config, &control, todo, done)?;
+            Ok::<_, FleetError>(())
+        },
+    )?;
+    stats.recovered = run.recovered;
+    Ok(FleetOutcome {
+        manifest: run.manifest,
+        stitched: run.stitched,
+        outcome: run.outcome,
+        stats,
+        complete: run.complete,
+        cancelled: run.cancelled,
+    })
+}
+
+/// Hashes per `POST /v1/records` request, keeping bodies far below the
+/// workers' request-size cap for any partition size.
+const RECOVERY_BATCH: usize = 4096;
+
+/// The recovery hook: asks every worker for the records it holds for the
+/// wanted tiles' input hashes. A fresh or unreachable worker simply
+/// contributes nothing; the driver validates every returned record and
+/// ignores duplicates.
+fn recover_from_workers(config: &FleetConfig, wanted: &[PendingTile<'_>]) -> Vec<TileRecord> {
+    let hashes: Vec<u64> = wanted.iter().map(|p| p.input_hash).collect();
+    let mut records = Vec::new();
     for addr in &config.workers {
-        let Ok(response) =
-            client::request_with_timeout(*addr, "GET", "/v1/records", None, config.lease)
-        else {
-            continue;
-        };
-        if response.status != 200 {
-            continue;
-        }
-        for line in response.body_str().lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Ok(record) = TileRecord::from_json_line(line) else {
-                continue;
+        for batch in hashes.chunks(RECOVERY_BATCH) {
+            let body = proto::records_body(batch);
+            let Ok(response) = client::request_with_timeout(
+                *addr,
+                "POST",
+                "/v1/records",
+                Some(&body),
+                config.lease,
+            ) else {
+                break;
             };
-            let i = record.index;
-            if i < total && wanted[i] && record.input_hash == hashes[i] {
-                wanted[i] = false;
-                stats.recovered += 1;
-                // Re-checkpoint locally so the next coordinator restart
-                // resumes without asking the workers.
-                if let Some(file) = sink.as_mut() {
-                    RunDir::append_record(file, &record)?;
-                }
-                results.push(TileResult {
-                    record,
-                    resumed: true,
-                    cached: false,
-                });
+            if response.status != 200 {
+                break;
             }
+            records.extend(
+                response
+                    .body_str()
+                    .lines()
+                    .filter_map(|line| TileRecord::from_json_line(line.trim()).ok()),
+            );
         }
     }
-    results.sort_unstable_by_key(|r| r.record.index);
+    records
+}
 
-    // Report resumed/recovered tiles first (monotonic completed counter),
-    // and seed the incremental stitcher with them.
-    let mut accumulator = StitchAccumulator::new();
-    for (done, r) in results.iter().enumerate() {
-        accumulator.add_record(&r.record);
-        if let Some(progress) = control.progress {
-            progress(&TileEvent {
-                tile: r.record.index,
-                name: r.record.name.clone(),
-                resumed: true,
-                cached: false,
-                seconds: r.record.seconds,
-                completed: done + 1,
-                total,
-            });
-        }
-    }
-
-    // To-dispatch tiles, in index order, optionally budget-truncated.
-    let mut todo: Vec<TileSlot> = (0..total)
-        .filter(|&i| wanted[i])
-        .map(|i| TileSlot {
-            index: partition.tiles[i].index,
-            hash: hashes[i],
-            done: false,
-            in_pending: true,
-            leases: Vec::new(),
-        })
-        .collect();
-    if let Some(budget) = config.max_tiles {
-        todo.truncate(budget);
-    }
-    let todo_len = todo.len();
+/// The fleet executor: dispatches `todo` over the workers' lanes (with
+/// leases, steals and heartbeat retirement) and reports each first valid
+/// result through `done`.
+fn dispatch(
+    spec: &WorkSpec,
+    config: &FleetConfig,
+    control: &RunControl<'_>,
+    todo: &[PendingTile<'_>],
+    done: &TileDone<'_>,
+) -> Result<FleetStats, FleetError> {
     let lanes = config.workers.len() * config.window.max(1);
-
     let shared = Shared {
         state: Mutex::new(State {
-            pending: (0..todo_len).collect(),
-            tiles: todo,
+            pending: (0..todo.len()).collect(),
+            tiles: todo
+                .iter()
+                .map(|p| TileSlot {
+                    index: p.tile.index,
+                    hash: p.input_hash,
+                    done: false,
+                    in_pending: true,
+                    leases: Vec::new(),
+                })
+                .collect(),
             done: 0,
             workers: config
                 .workers
@@ -380,21 +375,16 @@ pub fn run_fleet(
                 })
                 .collect(),
             alive: config.workers.len(),
-            stats,
-            records: Vec::new(),
-            accumulator,
-            completed: resumed + stats.recovered,
-            io_error: None,
+            stats: FleetStats::default(),
             tile_error: None,
             aborted: false,
             active_lanes: lanes,
         }),
         cv: Condvar::new(),
-        sink: Mutex::new(sink),
         spec,
         config,
         control,
-        total,
+        done,
     };
 
     std::thread::scope(|scope| {
@@ -412,12 +402,8 @@ pub fn run_fleet(
         .state
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
-    if let Some(e) = state.io_error {
-        return Err(FleetError::Runtime(e));
-    }
-    let cancelled = control.cancelled();
-    let unfinished = todo_len - state.done;
-    if state.alive == 0 && unfinished > 0 && !cancelled {
+    let unfinished = todo.len() - state.done;
+    if state.alive == 0 && unfinished > 0 && !control.cancelled() {
         // Surface a deterministic tile failure when one was observed —
         // workers were likely retired *because* the tile itself fails.
         if let Some((tile, message)) = state.tile_error {
@@ -429,55 +415,7 @@ pub fn run_fleet(
             remaining: unfinished,
         });
     }
-
-    let mut records = state.records;
-    records.sort_unstable_by_key(|r| r.index);
-    let executed = records.len();
-    let tile_seconds: f64 = records.iter().map(|r| r.seconds).sum();
-    for record in records {
-        results.push(TileResult {
-            record,
-            resumed: false,
-            cached: false,
-        });
-    }
-    results.sort_unstable_by_key(|r| r.record.index);
-
-    let outcome = ScheduleOutcome {
-        remaining: total - results.len(),
-        executed,
-        resumed: resumed + state.stats.recovered,
-        tile_seconds,
-        cache_hits: 0,
-        cache_misses: 0,
-        cancelled,
-        results,
-    };
-    let complete = outcome.remaining == 0;
-    let stitched = complete.then(|| state.accumulator.finish(&partition, spec.opc.mrc.as_ref()));
-    let manifest = RunManifest::build(
-        clip.name(),
-        &partition,
-        &outcome,
-        stitched.as_ref(),
-        config.workers.len(),
-        start.elapsed().as_secs_f64(),
-    );
-    if complete {
-        if let Some(dir) = &run_dir {
-            dir.write_manifest(&manifest.to_json(true))?;
-            dir.write_stable_manifest(&manifest.to_json(false))?;
-        }
-    }
-
-    Ok(FleetOutcome {
-        manifest,
-        stitched,
-        stats: state.stats,
-        complete,
-        cancelled,
-        outcome,
-    })
+    Ok(state.stats)
 }
 
 /// What a lane decided to do while holding the state lock.
@@ -622,39 +560,17 @@ fn settle(
     match outcome {
         Ok(record) => {
             state.workers[worker_id].failures = 0;
-            if state.tiles[pos].done {
+            let first = !state.tiles[pos].done;
+            if first {
+                state.tiles[pos].done = true;
+                state.done += 1;
+            } else {
                 state.stats.duplicates += 1;
-                drop(state);
-                shared.cv.notify_all();
-                return;
             }
-            state.tiles[pos].done = true;
-            state.done += 1;
-            state.completed += 1;
-            let completed = state.completed;
-            state.accumulator.add_record(&record);
-            {
-                let mut sink = shared.sink.lock().unwrap_or_else(PoisonError::into_inner);
-                if let Some(file) = sink.as_mut() {
-                    if let Err(e) = RunDir::append_record(file, &record) {
-                        state.io_error.get_or_insert(e);
-                    }
-                }
-            }
-            let event = shared.control.progress.map(|_| TileEvent {
-                tile: record.index,
-                name: record.name.clone(),
-                resumed: false,
-                cached: false,
-                seconds: record.seconds,
-                completed,
-                total: shared.total,
-            });
-            state.records.push(record);
             drop(state);
             shared.cv.notify_all();
-            if let (Some(progress), Some(event)) = (shared.control.progress, event) {
-                progress(&event);
+            if first {
+                (shared.done)(record, false);
             }
         }
         Err((tile_side, message)) => {

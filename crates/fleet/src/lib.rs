@@ -4,8 +4,10 @@
 //! unit to the distributed unit of work. One **coordinator** partitions a
 //! clip with the existing halo-aware partitioner and dispatches tile work
 //! units to N **worker processes** over the same dependency-free HTTP/1.1
-//! subset `cardopc-serve` speaks; per-tile results stream back for
-//! incremental stitching and manifest aggregation.
+//! subset `cardopc-serve` speaks. The run lifecycle around that dispatch
+//! (resume, checkpointing, progress, stitching, manifests) is the
+//! runtime's own driver, `cardopc_runtime::drive`, so a fleet run and an
+//! in-process run differ only in who corrects the tiles.
 //!
 //! Because every tile correction is a pure, deterministic function of
 //! `(work spec, tile index)`, the distributed run produces a timing-free
@@ -21,8 +23,9 @@
 //!   tiles still leased to slower workers; the first result wins and the
 //!   loser's copy is discarded (byte-identical by construction);
 //! - **checkpoints** — workers append every finished tile to their own
-//!   `RunDir`; a restarted coordinator rebuilds job state by harvesting
-//!   `GET /v1/records` from the surviving workers and its own run dir.
+//!   `RunDir`; a restarted coordinator rebuilds job state from its own
+//!   run dir, then asks the surviving workers (`POST /v1/records`) for
+//!   the records of the tiles it still wants.
 //!
 //! Module map: [`spec`] is the wire-level work description (design +
 //! tiling + full `OpcConfig`, exhaustively serialised); [`proto`] the

@@ -8,7 +8,7 @@
 //! | Method & path          | Purpose                                       |
 //! |------------------------|-----------------------------------------------|
 //! | `POST /v1/tiles`       | correct one tile; 200 body = checkpoint line  |
-//! | `GET /v1/records`      | every checkpointed record, as JSONL           |
+//! | `POST /v1/records`     | the records held for the given input hashes   |
 //! | `GET /healthz`         | heartbeat (liveness + tiles-done counter)     |
 //! | `POST /admin/shutdown` | stop accepting and let the process exit 0     |
 //!
@@ -19,6 +19,12 @@
 //! hash; the coordinator recomputes that hash locally and rejects a
 //! mismatched record, so a worker that somehow expanded a different
 //! partition cannot corrupt the run.
+//!
+//! A records body is `{"hashes": ["<16 hex digits>", ...]}` — the input
+//! hashes of the tiles a coordinator still wants, spelled as in the
+//! checkpoint line. The 200 body holds one checkpoint line per hash the
+//! worker has a record for (JSONL, sorted by tile index), so recovery
+//! costs grow with the job, not with the worker's age.
 
 use crate::spec::{reject_unknown, BadRequest, WorkSpec};
 use cardopc_json::Json;
@@ -50,6 +56,41 @@ pub fn parse_dispatch(body: &str) -> Result<(WorkSpec, usize), BadRequest> {
         .and_then(Json::as_usize)
         .ok_or("'tile' must be a non-negative integer")?;
     Ok((spec, tile))
+}
+
+/// Serialises a `POST /v1/records` request body for `hashes`.
+pub fn records_body(hashes: &[u64]) -> String {
+    let hashes = hashes
+        .iter()
+        .map(|h| Json::Str(format!("{h:016x}")))
+        .collect();
+    Json::obj(vec![("hashes", Json::Arr(hashes))]).to_string_compact()
+}
+
+/// Parses a `POST /v1/records` body into input hashes.
+///
+/// # Errors
+///
+/// A message for malformed JSON, unknown fields, or a hash that is not a
+/// 16-digit hex string; workers answer 400 with it.
+pub fn parse_records_request(body: &str) -> Result<Vec<u64>, BadRequest> {
+    let json = Json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
+    let Json::Obj(_) = &json else {
+        return Err("records body must be a JSON object".into());
+    };
+    reject_unknown(&json, &["hashes"])?;
+    let Some(Json::Arr(hashes)) = json.get("hashes") else {
+        return Err("'hashes' must be an array".into());
+    };
+    hashes
+        .iter()
+        .map(|h| {
+            h.as_str()
+                .filter(|s| s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit()))
+                .and_then(|s| u64::from_str_radix(s, 16).ok())
+                .ok_or_else(|| "each hash must be 16 hex digits".into())
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -91,6 +132,29 @@ mod tests {
             &good.replace("\"tile\":0", "\"tile\":0,\"extra\":1"),
         ] {
             assert!(parse_dispatch(bad).is_err(), "accepted: {bad}");
+        }
+    }
+
+    #[test]
+    fn records_request_roundtrips_and_rejects_malformed_bodies() {
+        let hashes = [0, 0xdead_beef_cafe_f00d, u64::MAX];
+        assert_eq!(
+            parse_records_request(&records_body(&hashes)).unwrap(),
+            hashes
+        );
+        assert_eq!(parse_records_request(&records_body(&[])).unwrap(), vec![]);
+        for bad in [
+            "not json",
+            "[]",
+            "{}",
+            r#"{"hashes": "00"}"#,
+            r#"{"hashes": [1]}"#,
+            r#"{"hashes": ["dead"]}"#,
+            r#"{"hashes": ["zzzzzzzzzzzzzzzz"]}"#,
+            r#"{"hashes": ["+eadbeefcafef00d"]}"#,
+            r#"{"hashes": [], "extra": 1}"#,
+        ] {
+            assert!(parse_records_request(bad).is_err(), "accepted: {bad}");
         }
     }
 }

@@ -16,7 +16,8 @@
 //!   or post-restart tile whose hash is already known is answered from
 //!   the checkpoint without recomputation — this is what makes the
 //!   coordinator's aggressive re-dispatch and crash recovery cheap, and
-//!   `GET /v1/records` is how a restarted coordinator harvests it.
+//!   `POST /v1/records` (the hashes a restarted coordinator still wants)
+//!   is how it harvests them.
 //!
 //! Determinism: the correction path is `cardopc_runtime`'s own
 //! `correct_single_tile`, so a record produced here is byte-identical
@@ -197,17 +198,7 @@ impl WorkerServer {
     /// Stops accepting and joins the accept thread. Called by `Drop`;
     /// explicit calls are idempotent.
     pub fn shutdown(&mut self) {
-        self.state.stopping.store(true, Ordering::Release);
-        let mut requested = self
-            .state
-            .shutdown_requested
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *requested = true;
-        drop(requested);
-        self.state.shutdown_cv.notify_all();
-        // Unblock the blocking accept() with a throwaway connection.
-        let _ = TcpStream::connect(self.local_addr);
+        request_shutdown(&self.state);
         if let Some(thread) = self.accept_thread.take() {
             let _ = thread.join();
         }
@@ -218,6 +209,20 @@ impl Drop for WorkerServer {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Stops accepting and wakes [`WorkerServer::wait_shutdown`].
+fn request_shutdown(state: &WorkerState) {
+    state.stopping.store(true, Ordering::Release);
+    let mut requested = state
+        .shutdown_requested
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    *requested = true;
+    drop(requested);
+    state.shutdown_cv.notify_all();
+    // Unblock the blocking accept() with a throwaway connection.
+    let _ = TcpStream::connect(state.local_addr);
 }
 
 fn accept_loop(listener: TcpListener, state: &Arc<WorkerState>) {
@@ -270,9 +275,14 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<WorkerState>) {
             }
             ReadOutcome::Request(request) => request,
         };
-        let keep_alive = request.wants_keep_alive() && !state.stopping.load(Ordering::Acquire);
+        let shutdown = request.method == "POST" && request.path == "/admin/shutdown";
+        let keep_alive =
+            request.wants_keep_alive() && !shutdown && !state.stopping.load(Ordering::Acquire);
         let response = route(&request, state);
         response.write_framed(&mut stream, keep_alive);
+        if shutdown {
+            request_shutdown(state);
+        }
         if !keep_alive {
             break;
         }
@@ -294,20 +304,11 @@ fn route(request: &Request, state: &Arc<WorkerState>) -> Response {
             .to_string_compact(),
         ),
         ("POST", "/v1/tiles") => dispatch(request, state),
-        ("GET", "/v1/records") => records_jsonl(state),
-        ("POST", "/admin/shutdown") => {
-            state.stopping.store(true, Ordering::Release);
-            let mut requested = state
-                .shutdown_requested
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            *requested = true;
-            drop(requested);
-            state.shutdown_cv.notify_all();
-            // Unblock the accept loop so it observes the stop flag.
-            let _ = TcpStream::connect(state.local_addr);
-            Response::json(202, r#"{"stopping":true}"#)
-        }
+        ("POST", "/v1/records") => records_jsonl(request, state),
+        // The stop itself happens in `handle_connection`, after this
+        // answer is written: `wait_shutdown` returning lets the process
+        // exit, which would otherwise race the write.
+        ("POST", "/admin/shutdown") => Response::json(202, r#"{"stopping":true}"#),
         (_, "/healthz" | "/v1/tiles" | "/v1/records" | "/admin/shutdown") => {
             Response::error(405, "method not allowed")
         }
@@ -422,16 +423,26 @@ fn dispatch(request: &Request, state: &Arc<WorkerState>) -> Response {
     Response::json(200, line)
 }
 
-/// `GET /v1/records`: every checkpointed record as JSONL, sorted by tile
-/// index then hash (deterministic output for tests and debugging).
-fn records_jsonl(state: &Arc<WorkerState>) -> Response {
+/// `POST /v1/records`: the checkpointed records for the requested input
+/// hashes as JSONL, sorted by tile index then hash (deterministic output
+/// for tests and debugging). Unknown hashes are skipped.
+fn records_jsonl(request: &Request, state: &Arc<WorkerState>) -> Response {
+    let Some(body) = request.body_str() else {
+        return Response::error(400, "request body must be UTF-8 JSON");
+    };
+    let hashes = match proto::parse_records_request(body) {
+        Ok(hashes) => hashes,
+        Err(msg) => return Response::error(400, &msg),
+    };
     let records = state.records.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut entries: Vec<(usize, u64, String)> = records
-        .values()
+    let mut entries: Vec<(usize, u64, String)> = hashes
+        .iter()
+        .filter_map(|hash| records.get(hash))
         .map(|r| (r.index, r.input_hash, r.to_json_line()))
         .collect();
     drop(records);
     entries.sort_unstable_by_key(|&(index, hash, _)| (index, hash));
+    entries.dedup_by_key(|e| e.1);
     let mut body = String::new();
     for (_, _, line) in entries {
         body.push_str(&line);

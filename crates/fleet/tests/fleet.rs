@@ -8,11 +8,11 @@
 use cardopc_fleet::http::{self, ReadOutcome, Response};
 use cardopc_fleet::spec::DesignSpec;
 use cardopc_fleet::worker::{WorkerConfig, WorkerServer};
-use cardopc_fleet::{client, run_fleet, FleetConfig, FleetError, WorkSpec};
+use cardopc_fleet::{client, proto, run_fleet, FleetConfig, FleetError, WorkSpec};
 use cardopc_layout::DesignKind;
 use cardopc_litho::WorkerPool;
 use cardopc_opc::OpcConfig;
-use cardopc_runtime::{run_clip, RunConfig, RunControl, TilingConfig};
+use cardopc_runtime::{run_clip, RunConfig, RunControl, TileRecord, TilingConfig};
 use std::net::{SocketAddr, TcpListener};
 use std::time::Duration;
 
@@ -274,6 +274,47 @@ fn coordinator_run_dir_resumes_without_asking_workers() {
     let stable = std::fs::read_to_string(run_dir.join("manifest.stable.json")).unwrap();
     assert_eq!(stable, direct_manifest(&spec));
     let _ = std::fs::remove_dir_all(&run_dir);
+}
+
+#[test]
+fn records_endpoint_answers_only_the_requested_hashes() {
+    let spec = spec();
+    let w = worker();
+    let post = |path: &str, body: &str| {
+        client::request_with_timeout(
+            w.local_addr(),
+            "POST",
+            path,
+            Some(body),
+            Duration::from_secs(60),
+        )
+        .unwrap()
+    };
+    let done = post("/v1/tiles", &proto::dispatch_body(&spec, 1));
+    assert_eq!(done.status, 200, "{}", done.body_str());
+    let record = TileRecord::from_json_line(done.body_str().trim()).unwrap();
+
+    // The finished tile's hash (asked twice) plus one the worker never saw.
+    let asked = proto::records_body(&[record.input_hash, 7, record.input_hash]);
+    let found = post("/v1/records", &asked);
+    assert_eq!(found.status, 200, "{}", found.body_str());
+    let lines: Vec<String> = found.body_str().lines().map(str::to_string).collect();
+    assert_eq!(lines, vec![record.to_json_line()]);
+    let none = post("/v1/records", &proto::records_body(&[7]));
+    assert_eq!((none.status, none.body_str()), (200, String::new()));
+
+    for bad in ["", "not json", r#"{"hashes": [7]}"#, r#"{"tiles": []}"#] {
+        assert_eq!(post("/v1/records", bad).status, 400, "accepted {bad:?}");
+    }
+    let get = client::request_with_timeout(
+        w.local_addr(),
+        "GET",
+        "/v1/records",
+        None,
+        Duration::from_secs(5),
+    )
+    .unwrap();
+    assert_eq!(get.status, 405);
 }
 
 #[test]

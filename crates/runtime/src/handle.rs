@@ -8,8 +8,8 @@
 //! concepts instead:
 //!
 //! * [`RunControl`] bundles the optional hooks a caller can attach to
-//!   [`run_clip_controlled`](crate::run_clip_controlled) /
-//!   [`run_tiles_controlled`](crate::schedule::run_tiles_controlled).
+//!   [`run_clip_controlled`](crate::run_clip_controlled) or any other
+//!   caller of [`drive`](crate::driver::drive).
 //! * [`RunHandle`] is a cheaply clonable cancellation token. Cancellation
 //!   is cooperative and checked at **tile boundaries**: tiles already in
 //!   flight finish (and are checkpointed), no new tiles are claimed, and
@@ -164,8 +164,9 @@ impl EngineCache {
 #[derive(Clone, Copy, Default)]
 pub struct RunControl<'a> {
     /// Called once per finished tile (resumed tiles first, then executed
-    /// tiles as they complete). Invoked from scheduler threads — keep it
-    /// cheap and non-blocking.
+    /// tiles as they complete). Invoked from executor threads one call at
+    /// a time, so `completed` strictly increases — keep it cheap and
+    /// non-blocking.
     pub progress: Option<&'a (dyn Fn(&TileEvent) + Sync)>,
     /// Cooperative cancellation token.
     pub handle: Option<&'a RunHandle>,

@@ -8,24 +8,33 @@
 //!    windows with a halo margin; every target is owned by exactly one
 //!    tile (bbox-centre rule over an R-tree), and halo copies give each
 //!    tile the optical context a monolithic run would see.
-//! 2. **Schedule** ([`run_tiles`]): tiles fan out over the shared
-//!    [`WorkerPool`], each slot holding its own calibrated
+//! 2. **Drive** ([`drive`]): one run lifecycle for every executor. It
+//!    resumes checkpointed tiles, adopts records an optional recovery
+//!    hook offers, reports resumed tiles first, applies the tile budget,
+//!    and hands the rest to an executor that reports each finished
+//!    [`TileRecord`] through one callback. Two executors exist: the
+//!    in-process pool fan-out behind [`run_clip`], where each
+//!    [`WorkerPool`] slot holds its own calibrated
 //!    [`LithoEngine`](cardopc_litho::LithoEngine) keyed by the (uniform)
-//!    window extent. Results are merged in tile order, so the outcome is
-//!    deterministic for any scheduler pool size.
-//! 3. **Checkpoint** ([`RunDir`]): finished tiles append self-describing
-//!    JSONL records (input hash, control points, metrics); a resumed run
-//!    skips every tile whose record still matches its input hash.
-//! 4. **Stitch** ([`stitch`]): owner-tile shapes are merged into the
-//!    full-chip mask and a cross-boundary MRC spacing pass runs on the
-//!    seam bands only.
+//!    window extent, and the `cardopc-fleet` coordinator's lease/steal
+//!    lanes. Results are merged in tile order, so the outcome is
+//!    deterministic for any executor and worker count.
+//! 3. **Checkpoint** ([`RunDir`]): the driver appends every finished
+//!    tile's self-describing JSONL record (input hash, control points,
+//!    metrics); a resumed run — by either executor — skips every tile
+//!    whose record still matches its input hash.
+//! 4. **Stitch** ([`stitch`]): once every tile is done, the driver merges
+//!    owner-tile shapes into the full-chip mask and runs a cross-boundary
+//!    MRC spacing pass on the seam bands only.
 //! 5. **Manifest** ([`RunManifest`]): per-tile and aggregate statistics,
 //!    renderable as a table or JSON; the timing-free JSON form is
 //!    byte-identical across reruns and resumes of the same input.
 //! 6. **Control** ([`RunControl`]): long-lived embedders attach per-tile
 //!    progress callbacks, a cooperative [`RunHandle`] cancellation token
 //!    (checked at tile boundaries, so cancelled runs stay resumable), and
-//!    a cross-run [`EngineCache`] via [`run_clip_controlled`].
+//!    a cross-run [`EngineCache`] via [`run_clip_controlled`]. The driver
+//!    serialises progress events, so `completed` strictly increases
+//!    whichever executor runs the tiles.
 //! 7. **Tile cache** ([`TileCache`]): a persistent content-addressed
 //!    store keyed by a translation-normalised tile pattern hash; a
 //!    congruent tile anywhere on the chip — or in a later job — replays
@@ -37,6 +46,7 @@
 
 pub mod cache;
 pub mod checkpoint;
+pub mod driver;
 mod error;
 pub mod gdsout;
 pub mod handle;
@@ -48,15 +58,14 @@ pub mod stitch;
 
 pub use cache::{tile_cache_key, CacheConfig, CacheStats, CachedShape, CachedTile, TileCache};
 pub use checkpoint::{tile_input_hash, RunDir, StitchedShape, TileMetrics, TileRecord};
+pub use driver::{drive, PendingTile, Recover, TileDone};
 pub use error::RuntimeError;
 pub use gdsout::{write_mask_gds, MaskGdsOptions, MASK_NM_PER_DBU};
 pub use handle::{EngineCache, RunControl, RunHandle, TileEvent};
 pub use manifest::{Aggregate, RunManifest, TileSummary};
 pub use partition::{partition_clip, Partition, Tile, TilingConfig};
-pub use schedule::{
-    correct_single_tile, run_tiles, run_tiles_controlled, ScheduleOutcome, TileResult,
-};
-pub use stitch::{seam_bands, stitch, StitchAccumulator, Stitched};
+pub use schedule::{correct_single_tile, ScheduleOutcome, TileResult};
+pub use stitch::{seam_bands, stitch, Stitched};
 
 use cardopc_layout::Clip;
 use cardopc_litho::WorkerPool;
@@ -91,7 +100,7 @@ impl RunConfig {
     }
 }
 
-/// Result of [`run_clip`].
+/// Result of [`run_clip`], or of any executor run through [`drive`].
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
     /// The run manifest (written to `run_dir/manifest.json` when the run
@@ -100,8 +109,11 @@ pub struct RunOutcome {
     /// The stitched full-chip mask; `None` when the tile budget left the
     /// run incomplete.
     pub stitched: Option<Stitched>,
-    /// Per-tile results, sorted by tile index.
-    pub results: Vec<TileResult>,
+    /// Per-tile results (sorted by tile index) and tallies; `resumed`
+    /// counts checkpointed and recovered tiles alike.
+    pub outcome: ScheduleOutcome,
+    /// Tiles adopted from the driver's recovery hook (0 without one).
+    pub recovered: usize,
     /// `true` when every tile of the partition completed.
     pub complete: bool,
     /// `true` when the run stopped early because its [`RunHandle`] was
@@ -109,8 +121,8 @@ pub struct RunOutcome {
     pub cancelled: bool,
 }
 
-/// Runs the tiled flow end to end: partition → (resume) → schedule →
-/// stitch → manifest.
+/// Runs the tiled flow end to end on `pool`: partition → resume →
+/// execute → stitch → manifest (see [`drive`]).
 ///
 /// # Errors
 ///
@@ -151,67 +163,13 @@ pub fn run_clip_controlled(
     pool: &WorkerPool,
     control: &RunControl<'_>,
 ) -> Result<RunOutcome, RuntimeError> {
-    let start = std::time::Instant::now();
     let flow = CardOpc::new(config.opc.clone());
-    let partition = partition_clip(clip, &config.tiling)?;
-
-    let run_dir = match &config.run_dir {
-        Some(path) => Some(RunDir::open(path)?),
-        None => None,
-    };
-    let checkpoints = match &run_dir {
-        Some(dir) => dir.load_records()?,
-        None => Default::default(),
-    };
-    let mut sink = match &run_dir {
-        Some(dir) => Some(dir.append_handle()?),
-        None => None,
-    };
-
-    let outcome = run_tiles_controlled(
-        &partition,
-        &flow,
-        pool,
-        &checkpoints,
-        config.max_tiles,
-        sink.as_mut(),
-        control,
-    )?;
-    let complete = outcome.remaining == 0;
-
-    let stitched = complete.then(|| {
-        stitch(
-            &partition,
-            outcome
-                .results
-                .iter()
-                .flat_map(|r| r.record.shapes.iter().cloned()),
-            config.opc.mrc.as_ref(),
-        )
-    });
-
-    let manifest = RunManifest::build(
-        clip.name(),
-        &partition,
-        &outcome,
-        stitched.as_ref(),
+    drive(
+        clip,
+        config,
         pool.parallelism(),
-        start.elapsed().as_secs_f64(),
-    );
-    if complete {
-        if let Some(dir) = &run_dir {
-            dir.write_manifest(&manifest.to_json(true))?;
-            // The timing-free companion: byte-identical across reruns,
-            // resumes, worker counts and cache states of the same input.
-            dir.write_stable_manifest(&manifest.to_json(false))?;
-        }
-    }
-
-    Ok(RunOutcome {
-        manifest,
-        stitched,
-        cancelled: outcome.cancelled,
-        results: outcome.results,
-        complete,
-    })
+        control,
+        None,
+        |partition, todo, done| schedule::run_on_pool(partition, &flow, pool, todo, done, control),
+    )
 }

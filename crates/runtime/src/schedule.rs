@@ -1,28 +1,32 @@
-//! Tile job scheduling over the shared worker pool.
+//! In-process tile execution over the shared worker pool, and the
+//! per-tile correction path every executor shares.
 //!
-//! Tiles are fanned over [`WorkerPool`] slots: each slot (one worker
-//! thread, plus the participating submitter) claims tiles from a shared
-//! atomic counter and runs the full OPC flow on them with a per-slot
-//! [`LithoEngine`] cache keyed by window extent — tile windows are
-//! uniform, so in practice each slot builds exactly one engine and reuses
-//! it for every tile it claims. The claim order is dynamic (load
-//! balanced), but results are merged and sorted by tile index afterwards,
-//! so the outcome is **deterministic for any scheduler pool size**: each
-//! tile's correction is a pure function of its input clip, and the
-//! per-tile outputs are order-independent. (The litho engine separately
+//! The run lifecycle (resume, checkpointing, progress, stitching, the
+//! manifest) lives in [`crate::driver`]; this module is its in-process
+//! executor. Tiles are fanned over [`WorkerPool`] slots: each slot (one
+//! worker thread, plus the participating submitter) claims tiles from a
+//! shared atomic counter and runs the full OPC flow on them with a
+//! per-slot [`LithoEngine`] cache keyed by window extent — tile windows
+//! are uniform, so in practice each slot builds exactly one engine and
+//! reuses it for every tile it claims. The claim order is dynamic (load
+//! balanced), but the driver sorts results by tile index, so the outcome
+//! is **deterministic for any scheduler pool size**: each tile's
+//! correction is a pure function of its input clip, and the per-tile
+//! outputs are order-independent. (The litho engine separately
 //! snapshots the *global* pool's parallelism for SOCS chunking, so
 //! `CARDOPC_THREADS` can shift raw sums within the litho layer's
 //! documented < 1e-12 reassociation rounding — the same effect it has on
 //! a monolithic run.)
 //!
-//! Finished tiles are appended to the checkpoint file (when one is given)
-//! as they complete, under a mutex; line order in the file is
+//! Finished tiles are reported to the driver as they complete, which
+//! appends them to the checkpoint file; line order in the file is
 //! nondeterministic but records are self-describing, so resume does not
 //! care.
 
 use crate::cache::{tile_cache_key, CachedShape, CachedTile};
-use crate::checkpoint::{tile_input_hash, RunDir, StitchedShape, TileMetrics, TileRecord};
-use crate::handle::{EngineKey, RunControl, TileEvent};
+use crate::checkpoint::{tile_input_hash, StitchedShape, TileMetrics, TileRecord};
+use crate::driver::{PendingTile, TileDone};
+use crate::handle::{EngineKey, RunControl};
 use crate::partition::{Partition, Tile};
 use crate::RuntimeError;
 use cardopc_geometry::{Grid, Point, Polygon};
@@ -31,7 +35,7 @@ use cardopc_litho::{ProcessCondition, WorkerPool};
 use cardopc_opc::{engine_for_extent_at, CardOpc, MeasureConvention, EPE_TOLERANCE};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Outcome of one tile: its checkpoint record, and whether it was resumed
 /// from a previous run rather than executed.
@@ -76,204 +80,64 @@ pub struct ScheduleOutcome {
 /// Per-slot state: an engine memo keyed by `(width, height, pitch bits)`.
 /// Windows are uniform per run, so this holds one engine per slot, but the
 /// key keeps correctness if a future caller mixes extents. When a shared
-/// [`EngineCache`] is attached the memo holds `Arc`s into it (no lock on
-/// the per-tile hot path); otherwise the engines are run-local.
-/// Per-tile outcome: the record plus whether it came out of the tile cache.
-type SlotResult = (usize, Result<(TileRecord, bool), RuntimeError>);
-
+/// [`EngineCache`](crate::EngineCache) is attached the memo holds `Arc`s
+/// into it (no lock on the per-tile hot path); otherwise the engines are
+/// run-local. `errors` collects the slot's failed tiles by index.
+#[derive(Default)]
 struct Slot {
     engines: HashMap<EngineKey, Arc<LithoEngine>>,
-    results: Vec<SlotResult>,
+    errors: Vec<(usize, RuntimeError)>,
 }
 
-/// Runs every not-yet-checkpointed tile of `partition` over `pool`.
-///
-/// `checkpoints` is consulted per tile: a record whose stored hash matches
-/// the tile's current input hash is reused verbatim (the tile is not
-/// executed); stale or missing records mean the tile runs. At most
-/// `max_tiles` tiles are *executed* (resumed tiles are free); `None` means
-/// no budget. Records of executed tiles are appended to `sink` as they
-/// complete.
-///
-/// # Errors
-///
-/// [`RuntimeError::Tile`] for the lowest-indexed tile whose flow failed,
-/// or [`RuntimeError::Io`] when checkpoint appending failed.
-pub fn run_tiles(
-    partition: &Partition,
-    flow: &CardOpc,
-    pool: &WorkerPool,
-    checkpoints: &HashMap<usize, TileRecord>,
-    max_tiles: Option<usize>,
-    sink: Option<&mut std::fs::File>,
-) -> Result<ScheduleOutcome, RuntimeError> {
-    run_tiles_controlled(
-        partition,
-        flow,
-        pool,
-        checkpoints,
-        max_tiles,
-        sink,
-        &RunControl::default(),
-    )
-}
-
-/// [`run_tiles`] with [`RunControl`] hooks: per-tile progress events,
-/// cooperative cancellation checked before each tile claim, and an
-/// optional cross-run engine cache.
+/// The in-process executor behind [`drive`](crate::driver::drive): fans
+/// `todo` over `pool`, each slot claiming tiles from a shared cursor until
+/// the list is drained or the run is cancelled, and reports every finished
+/// tile through `done`.
 ///
 /// Cancellation stops new tiles from being claimed; tiles already in
-/// flight finish and are checkpointed, so a cancelled run resumes exactly
-/// like a budget-limited one. The outcome's `cancelled` flag records that
-/// the handle fired.
+/// flight finish and are reported, so a cancelled run resumes exactly like
+/// a budget-limited one.
 ///
 /// # Errors
 ///
-/// See [`run_tiles`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_tiles_controlled(
+/// [`RuntimeError::Tile`] for the lowest-indexed tile whose flow failed
+/// (deterministic regardless of claim order); every other tile still runs.
+pub(crate) fn run_on_pool(
     partition: &Partition,
     flow: &CardOpc,
     pool: &WorkerPool,
-    checkpoints: &HashMap<usize, TileRecord>,
-    max_tiles: Option<usize>,
-    sink: Option<&mut std::fs::File>,
+    todo: &[PendingTile<'_>],
+    done: &TileDone<'_>,
     control: &RunControl<'_>,
-) -> Result<ScheduleOutcome, RuntimeError> {
+) -> Result<(), RuntimeError> {
     let config = flow.config();
-    let total = partition.tiles.len();
-
-    // Split tiles into resumable and to-run.
-    let mut results: Vec<TileResult> = Vec::with_capacity(total);
-    let mut todo: Vec<&Tile> = Vec::new();
-    for tile in &partition.tiles {
-        let hash = tile_input_hash(tile, config);
-        match checkpoints.get(&tile.index) {
-            Some(record) if record.input_hash == hash => results.push(TileResult {
-                record: record.clone(),
-                resumed: true,
-                cached: false,
-            }),
-            _ => todo.push(tile),
-        }
-    }
-    let resumed = results.len();
-    if let Some(budget) = max_tiles {
-        todo.truncate(budget);
-    }
-
-    // Resumed tiles are "finished" before any correction work starts:
-    // report them first so an observer's completed counter is monotonic.
-    if let Some(progress) = control.progress {
-        for (done, r) in results.iter().enumerate() {
-            progress(&TileEvent {
-                tile: r.record.index,
-                name: r.record.name.clone(),
-                resumed: true,
-                cached: false,
-                seconds: r.record.seconds,
-                completed: done + 1,
-                total,
-            });
-        }
-    }
-
-    // Fan the to-run tiles over the pool: each slot claims tiles from the
-    // shared cursor until the list is drained or the run is cancelled.
     let cursor = AtomicUsize::new(0);
-    let completed = AtomicUsize::new(resumed);
-    let sink = Mutex::new(sink);
-    let io_error: Mutex<Option<RuntimeError>> = Mutex::new(None);
     let mut slots: Vec<Slot> = (0..pool.parallelism().max(1))
-        .map(|_| Slot {
-            engines: HashMap::new(),
-            results: Vec::new(),
-        })
+        .map(|_| Slot::default())
         .collect();
-
     pool.run_with_slots(&mut slots, |slot_index, slot| loop {
         if control.cancelled() {
             return;
         }
         let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(tile) = todo.get(i) else { return };
-        let outcome = execute_tile(tile, partition, flow, config, slot, slot_index, control);
-        let outcome = match outcome {
+        let Some(pending) = todo.get(i) else { return };
+        let tile = pending.tile;
+        match execute_tile(tile, partition, flow, config, slot, slot_index, control) {
+            Ok(Some((record, cached))) => done(record, cached),
             // Cancelled while waiting on an in-flight cache key: no
             // result for this tile; the loop's cancellation check exits.
-            Ok(None) => continue,
-            Ok(Some(pair)) => Ok(pair),
-            Err(e) => Err(e),
-        };
-        if let Ok((record, cached)) = &outcome {
-            let mut guard = sink
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(file) = guard.as_deref_mut() {
-                if let Err(e) = RunDir::append_record(file, record) {
-                    let mut io = io_error
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    io.get_or_insert(e);
-                }
-            }
-            drop(guard);
-            if let Some(progress) = control.progress {
-                progress(&TileEvent {
-                    tile: record.index,
-                    name: record.name.clone(),
-                    resumed: false,
-                    cached: *cached,
-                    seconds: record.seconds,
-                    completed: completed.fetch_add(1, Ordering::AcqRel) + 1,
-                    total,
-                });
-            }
+            Ok(None) => {}
+            Err(e) => slot.errors.push((tile.index, e)),
         }
-        slot.results.push((tile.index, outcome));
     });
-
-    if let Some(e) = io_error
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    match slots
+        .into_iter()
+        .flat_map(|s| s.errors)
+        .min_by_key(|(index, _)| *index)
     {
-        return Err(e);
+        Some((_, e)) => Err(e),
+        None => Ok(()),
     }
-
-    // Merge per-slot results; surface the lowest-indexed failure so the
-    // reported error is deterministic regardless of claim order.
-    let mut executed_results: Vec<SlotResult> = slots.into_iter().flat_map(|s| s.results).collect();
-    executed_results.sort_unstable_by_key(|(index, _)| *index);
-    let executed = executed_results.len();
-    let mut tile_seconds = 0.0;
-    let mut cache_hits = 0usize;
-    for (_, outcome) in executed_results {
-        let (record, cached) = outcome?;
-        tile_seconds += record.seconds;
-        cache_hits += cached as usize;
-        results.push(TileResult {
-            record,
-            resumed: false,
-            cached,
-        });
-    }
-    results.sort_unstable_by_key(|r| r.record.index);
-    let cache_misses = if control.cache.is_some() {
-        executed - cache_hits
-    } else {
-        0
-    };
-
-    Ok(ScheduleOutcome {
-        remaining: total - resumed - executed,
-        results,
-        executed,
-        resumed,
-        tile_seconds,
-        cache_hits,
-        cache_misses,
-        cancelled: control.cancelled(),
-    })
 }
 
 /// Corrects exactly one tile of `partition` and returns its checkpoint
@@ -304,10 +168,7 @@ pub fn correct_single_tile(
         .ok_or(RuntimeError::InvalidConfig(
             "tile index outside the partition",
         ))?;
-    let mut slot = Slot {
-        engines: HashMap::new(),
-        results: Vec::new(),
-    };
+    let mut slot = Slot::default();
     let outcome = execute_tile(
         tile,
         partition,
@@ -649,9 +510,11 @@ fn core_pvb(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{partition_clip, TilingConfig};
+    use crate::partition::TilingConfig;
+    use crate::RunConfig;
     use cardopc_layout::Clip;
     use cardopc_opc::OpcConfig;
+    use std::path::Path;
 
     fn small_clip() -> Clip {
         Clip::new(
@@ -673,21 +536,41 @@ mod tests {
         c
     }
 
-    #[test]
-    fn schedule_is_deterministic_across_worker_counts() {
-        let clip = small_clip();
-        let partition = partition_clip(
-            &clip,
-            &TilingConfig {
+    /// Runs the clip as 2×2 tiles through the driver with the pool
+    /// executor, optionally checkpointing into `run_dir`.
+    fn run_tiles(
+        opc: OpcConfig,
+        pool: &WorkerPool,
+        run_dir: Option<&Path>,
+        max_tiles: Option<usize>,
+    ) -> ScheduleOutcome {
+        let config = RunConfig {
+            opc,
+            tiling: TilingConfig {
                 tile_size: 512.0,
                 halo: 256.0,
             },
+            run_dir: run_dir.map(Path::to_path_buf),
+            max_tiles,
+        };
+        let flow = CardOpc::new(config.opc.clone());
+        let control = RunControl::default();
+        crate::drive(
+            &small_clip(),
+            &config,
+            pool.parallelism(),
+            &control,
+            None,
+            |partition, todo, done| run_on_pool(partition, &flow, pool, todo, done, &control),
         )
-        .unwrap();
-        let flow = CardOpc::new(config());
-        let none = HashMap::new();
-        let one = run_tiles(&partition, &flow, &WorkerPool::new(1), &none, None, None).unwrap();
-        let four = run_tiles(&partition, &flow, &WorkerPool::new(4), &none, None, None).unwrap();
+        .unwrap()
+        .outcome
+    }
+
+    #[test]
+    fn schedule_is_deterministic_across_worker_counts() {
+        let one = run_tiles(config(), &WorkerPool::new(1), None, None);
+        let four = run_tiles(config(), &WorkerPool::new(4), None, None);
         assert_eq!(one.results.len(), 4);
         assert_eq!(one.executed, 4);
         for (a, b) in one.results.iter().zip(&four.results) {
@@ -711,21 +594,10 @@ mod tests {
         // Same invariant as above, but with the simulation running on the
         // single-precision backend: records must still be byte-identical
         // for any worker count *within* the f32 mode.
-        let clip = small_clip();
-        let partition = partition_clip(
-            &clip,
-            &TilingConfig {
-                tile_size: 512.0,
-                halo: 256.0,
-            },
-        )
-        .unwrap();
         let mut f32_config = config();
         f32_config.precision = cardopc_litho::Precision::F32;
-        let flow = CardOpc::new(f32_config);
-        let none = HashMap::new();
-        let one = run_tiles(&partition, &flow, &WorkerPool::new(1), &none, None, None).unwrap();
-        let four = run_tiles(&partition, &flow, &WorkerPool::new(4), &none, None, None).unwrap();
+        let one = run_tiles(f32_config.clone(), &WorkerPool::new(1), None, None);
+        let four = run_tiles(f32_config, &WorkerPool::new(4), None, None);
         assert_eq!(one.executed, 4);
         for (a, b) in one.results.iter().zip(&four.results) {
             assert_eq!(a.record.index, b.record.index);
@@ -737,32 +609,18 @@ mod tests {
 
     #[test]
     fn checkpoints_skip_matching_tiles_and_budget_limits_execution() {
-        let clip = small_clip();
-        let partition = partition_clip(
-            &clip,
-            &TilingConfig {
-                tile_size: 512.0,
-                halo: 256.0,
-            },
-        )
-        .unwrap();
-        let flow = CardOpc::new(config());
+        let dir = std::env::temp_dir().join(format!("cardopc-sched-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let pool = WorkerPool::new(2);
-        let none = HashMap::new();
 
         // Budgeted run: only 3 of 4 tiles execute.
-        let partial = run_tiles(&partition, &flow, &pool, &none, Some(3), None).unwrap();
+        let partial = run_tiles(config(), &pool, Some(&dir), Some(3));
         assert_eq!(partial.executed, 3);
         assert_eq!(partial.remaining, 1);
         assert_eq!(partial.results.len(), 3);
 
         // Resume from those records: one tile left to run.
-        let ckpts: HashMap<usize, TileRecord> = partial
-            .results
-            .iter()
-            .map(|r| (r.record.index, r.record.clone()))
-            .collect();
-        let rest = run_tiles(&partition, &flow, &pool, &ckpts, None, None).unwrap();
+        let rest = run_tiles(config(), &pool, Some(&dir), None);
         assert_eq!(rest.resumed, 3);
         assert_eq!(rest.executed, 1);
         assert_eq!(rest.remaining, 0);
@@ -771,9 +629,9 @@ mod tests {
         // Stale checkpoints (different config → different hash) re-run.
         let mut other = config();
         other.iterations = 3;
-        let flow2 = CardOpc::new(other);
-        let rerun = run_tiles(&partition, &flow2, &pool, &ckpts, None, None).unwrap();
+        let rerun = run_tiles(other, &pool, Some(&dir), None);
         assert_eq!(rerun.resumed, 0);
         assert_eq!(rerun.executed, 4);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -38,12 +38,12 @@
 use cardopc_fleet::spec::DesignSpec;
 use cardopc_fleet::worker::{WorkerConfig, WorkerServer};
 use cardopc_fleet::{client, run_fleet, FleetConfig, WorkSpec};
-use cardopc_layout::{write_clip_gds, DesignKind, LayerFilter, TARGET_LAYER};
+use cardopc_layout::{write_clip_gds, Clip, DesignKind, LayerFilter, TARGET_LAYER};
 use cardopc_litho::{Precision, WorkerPool};
 use cardopc_opc::OpcConfig;
 use cardopc_runtime::{
     run_clip_controlled, write_mask_gds, CacheConfig, MaskGdsOptions, RunConfig, RunControl,
-    Stitched, TileCache, TilingConfig,
+    RunOutcome, Stitched, TileCache, TilingConfig,
 };
 use cardopc_serve::{ServeConfig, Server};
 use std::io::BufRead;
@@ -558,18 +558,17 @@ fn export_mask_gds(
 }
 
 /// Fleet mode: shard the run across worker processes (spawned locally
-/// and/or already running remotely) and print the same manifest a
-/// single-process run would.
-fn fleet_main(args: &RunArgs, design: DesignSpec, mask_name: &str, opc: OpcConfig) -> ExitCode {
-    let mut locals = Vec::new();
+/// into `locals`, which the caller keeps alive until it has reported,
+/// and/or already running remotely). Returns the outcome and the fleet's
+/// tally line.
+fn run_on_fleet(
+    args: &RunArgs,
+    design: DesignSpec,
+    opc: &OpcConfig,
+    locals: &mut Vec<LocalWorker>,
+) -> Result<(RunOutcome, Option<String>), String> {
     for _ in 0..args.workers_local {
-        match spawn_local_worker() {
-            Ok(worker) => locals.push(worker),
-            Err(msg) => {
-                eprintln!("cardopc: error: {msg}");
-                return ExitCode::FAILURE;
-            }
-        }
+        locals.push(spawn_local_worker()?);
     }
     let workers: Vec<std::net::SocketAddr> = locals
         .iter()
@@ -583,7 +582,7 @@ fn fleet_main(args: &RunArgs, design: DesignSpec, mask_name: &str, opc: OpcConfi
             tile_size: args.tile,
             halo: args.halo,
         },
-        opc,
+        opc: opc.clone(),
     };
     let config = FleetConfig {
         workers,
@@ -601,26 +600,9 @@ fn fleet_main(args: &RunArgs, design: DesignSpec, mask_name: &str, opc: OpcConfi
         config.steal_after.as_secs_f64(),
     );
 
-    let outcome = match run_fleet(&spec, &config, &RunControl::default()) {
-        Ok(outcome) => outcome,
-        Err(e) => {
-            eprintln!("cardopc: error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Err(msg) = export_mask_gds(outcome.stitched.as_ref(), mask_name, args, &spec.opc) {
-        eprintln!("cardopc: error: {msg}");
-        return ExitCode::FAILURE;
-    }
-
-    print!("{}", outcome.manifest.render_table());
-    println!(
-        "executed {} resumed {} remaining {}",
-        outcome.manifest.executed, outcome.manifest.resumed, outcome.manifest.remaining
-    );
+    let outcome = run_fleet(&spec, &config, &RunControl::default()).map_err(|e| e.to_string())?;
     let stats = outcome.stats;
-    println!(
+    let tally = format!(
         "fleet dispatched {} stolen {} duplicates {} redispatched {} retired {} recovered {}",
         stats.dispatched,
         stats.stolen,
@@ -629,62 +611,18 @@ fn fleet_main(args: &RunArgs, design: DesignSpec, mask_name: &str, opc: OpcConfi
         stats.retired_workers,
         stats.recovered
     );
-    if let Some(dir) = &config.run_dir {
-        if outcome.complete {
-            println!("manifest: {}", dir.join("manifest.json").display());
-        } else {
-            println!(
-                "partial run ({} tiles left): re-run with the same --run-dir to resume",
-                outcome.manifest.remaining
-            );
-        }
-    }
-    ExitCode::SUCCESS
+    Ok((outcome.into(), Some(tally)))
 }
 
-/// Run mode: one correction, manifest to stdout.
-fn run_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
-    let args = match RunArgs::parse(it) {
-        Ok(Some(args)) => args,
-        Ok(None) => return ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let design = match args.design_spec() {
-        Ok(design) => design,
-        Err(msg) => {
-            eprintln!("cardopc: error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let clip = match design.build_clip() {
-        Ok(clip) => clip,
-        Err(e) => {
-            eprintln!("cardopc: error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(path) = &args.write_target_gds {
-        if let Err(msg) = export_target_gds(&clip, path) {
-            eprintln!("cardopc: error: {msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let mut opc = OpcConfig::large_scale();
-    opc.pitch = args.pitch;
-    opc.precision = args.precision;
-    opc.iterations = args.iterations;
-
-    if args.workers_local > 0 || !args.worker_addrs.is_empty() {
-        let name = clip.name().to_string();
-        return fleet_main(&args, design, &name, opc);
-    }
-
+/// In-process mode: run on the local worker pool with the tile cache.
+/// Returns the outcome and, when a cache was attached, its tally line.
+fn run_in_process(
+    args: &RunArgs,
+    clip: &Clip,
+    opc: &OpcConfig,
+) -> Result<(RunOutcome, Option<String>), String> {
     let config = RunConfig {
-        opc,
+        opc: opc.clone(),
         tiling: TilingConfig {
             tile_size: args.tile,
             halo: args.halo,
@@ -724,28 +662,76 @@ fn run_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
             dir: args.cache_dir.as_ref().map(Into::into),
             ..CacheConfig::default()
         };
-        match TileCache::open(&cache_config) {
-            Ok(cache) => Some(cache),
-            Err(e) => {
-                eprintln!("cardopc: error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        Some(TileCache::open(&cache_config).map_err(|e| e.to_string())?)
     };
     let control = RunControl {
         cache: cache.as_ref(),
         ..RunControl::default()
     };
 
-    let outcome = match run_clip_controlled(&clip, &config, pool, &control) {
-        Ok(outcome) => outcome,
+    let outcome = run_clip_controlled(clip, &config, pool, &control).map_err(|e| e.to_string())?;
+    let tally = cache.is_some().then(|| {
+        format!(
+            "cache hits {} misses {}",
+            outcome.manifest.cache_hits, outcome.manifest.cache_misses
+        )
+    });
+    Ok((outcome, tally))
+}
+
+/// Run mode: one correction (in process or on a fleet), manifest to
+/// stdout.
+fn run_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
+    let args = match RunArgs::parse(it) {
+        Ok(Some(args)) => args,
+        Ok(None) => return ExitCode::SUCCESS,
+        Err(msg) => {
+            eprintln!("{msg}");
+            return ExitCode::FAILURE;
+        }
+    };
+
+    let design = match args.design_spec() {
+        Ok(design) => design,
+        Err(msg) => {
+            eprintln!("cardopc: error: {msg}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let clip = match design.build_clip() {
+        Ok(clip) => clip,
         Err(e) => {
             eprintln!("cardopc: error: {e}");
             return ExitCode::FAILURE;
         }
     };
+    if let Some(path) = &args.write_target_gds {
+        if let Err(msg) = export_target_gds(&clip, path) {
+            eprintln!("cardopc: error: {msg}");
+            return ExitCode::FAILURE;
+        }
+    }
+    let mut opc = OpcConfig::large_scale();
+    opc.pitch = args.pitch;
+    opc.precision = args.precision;
+    opc.iterations = args.iterations;
 
-    if let Err(msg) = export_mask_gds(outcome.stitched.as_ref(), clip.name(), &args, &config.opc) {
+    // Spawned fleet workers live until the run has been reported.
+    let mut locals = Vec::new();
+    let run = if args.workers_local > 0 || !args.worker_addrs.is_empty() {
+        run_on_fleet(&args, design, &opc, &mut locals)
+    } else {
+        run_in_process(&args, &clip, &opc)
+    };
+    let (outcome, tally) = match run {
+        Ok(run) => run,
+        Err(msg) => {
+            eprintln!("cardopc: error: {msg}");
+            return ExitCode::FAILURE;
+        }
+    };
+
+    if let Err(msg) = export_mask_gds(outcome.stitched.as_ref(), clip.name(), &args, &opc) {
         eprintln!("cardopc: error: {msg}");
         return ExitCode::FAILURE;
     }
@@ -755,15 +741,15 @@ fn run_main(it: &mut std::vec::IntoIter<String>) -> ExitCode {
         "executed {} resumed {} remaining {}",
         outcome.manifest.executed, outcome.manifest.resumed, outcome.manifest.remaining
     );
-    if cache.is_some() {
-        println!(
-            "cache hits {} misses {}",
-            outcome.manifest.cache_hits, outcome.manifest.cache_misses
-        );
+    if let Some(tally) = tally {
+        println!("{tally}");
     }
-    if let Some(dir) = &config.run_dir {
+    if let Some(dir) = &args.run_dir {
         if outcome.complete {
-            println!("manifest: {}", dir.join("manifest.json").display());
+            println!(
+                "manifest: {}",
+                PathBuf::from(dir).join("manifest.json").display()
+            );
         } else {
             println!(
                 "partial run ({} tiles left): re-run with the same --run-dir to resume",

@@ -534,15 +534,24 @@ impl JobStore {
         spec: &JobSpec,
         workers: Vec<std::net::SocketAddr>,
         control: &RunControl<'_>,
-    ) -> Result<cardopc_runtime::RunOutcome, FleetError> {
+    ) -> Result<RunOutcome, FleetError> {
         self.metrics.fleet_jobs.inc();
+        let fleet_size = workers.len();
         let config = FleetConfig {
             workers,
             run_dir: spec.config.run_dir.clone(),
             max_tiles: spec.config.max_tiles,
             ..FleetConfig::default()
         };
-        let outcome = run_fleet(&spec.work, &config, control)?;
+        let outcome = match run_fleet(&spec.work, &config, control) {
+            Ok(outcome) => outcome,
+            Err(e @ FleetError::WorkersExhausted { .. }) => {
+                // Exhaustion means every worker of the job was retired.
+                self.metrics.fleet_workers_retired.add(fleet_size as u64);
+                return Err(e);
+            }
+            Err(e) => return Err(e),
+        };
         let stats = outcome.stats;
         self.metrics
             .fleet_tiles_dispatched
@@ -558,13 +567,7 @@ impl JobStore {
         self.metrics
             .fleet_tiles_recovered
             .add(stats.recovered as u64);
-        Ok(cardopc_runtime::RunOutcome {
-            manifest: outcome.manifest,
-            stitched: outcome.stitched,
-            results: outcome.outcome.results,
-            complete: outcome.complete,
-            cancelled: outcome.cancelled,
-        })
+        Ok(outcome.into())
     }
 
     /// Removes a terminal job from the store (freeing its result

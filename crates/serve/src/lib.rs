@@ -117,6 +117,10 @@ struct Shared {
     cache: Option<Arc<cardopc_runtime::TileCache>>,
     workers: Arc<WorkerRegistry>,
     run_root: PathBuf,
+    /// Requests read but not yet answered. Shutdown waits for these, so
+    /// an answer — `POST /admin/drain`'s 202 above all, which wakes the
+    /// exiting main thread — is written before the process exits.
+    answering: Arc<ConnGate>,
 }
 
 /// A running correction service.
@@ -180,6 +184,7 @@ impl Server {
             cache,
             workers,
             run_root: config.run_root,
+            answering: Arc::new(ConnGate::new()),
         });
         let stop_accepting = Arc::new(AtomicBool::new(false));
 
@@ -240,6 +245,7 @@ impl Server {
         if let Some(thread) = self.accept_thread.take() {
             let _ = thread.join();
         }
+        self.shared.answering.wait_idle();
         for thread in self.executors.drain(..) {
             let _ = thread.join();
         }
@@ -252,7 +258,8 @@ impl Drop for Server {
     }
 }
 
-/// A counting semaphore bounding concurrent connection-handler threads.
+/// A counting semaphore: bounds concurrent connection-handler threads,
+/// and counts requests being answered.
 struct ConnGate {
     active: Mutex<usize>,
     freed: Condvar,
@@ -282,7 +289,18 @@ impl ConnGate {
         let mut active = self.active.lock().unwrap_or_else(PoisonError::into_inner);
         *active = active.saturating_sub(1);
         drop(active);
-        self.freed.notify_one();
+        self.freed.notify_all();
+    }
+
+    /// Blocks until every slot is released.
+    fn wait_idle(&self) {
+        let mut active = self.active.lock().unwrap_or_else(PoisonError::into_inner);
+        while *active > 0 {
+            active = self
+                .freed
+                .wait(active)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
     }
 }
 
@@ -331,7 +349,13 @@ fn accept_loop(listener: TcpListener, shared: &Arc<Shared>, stop: &Arc<AtomicBoo
 
 /// Serves one connection: read one request, route, answer, close.
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
-    let response = match http::read_request(&mut stream) {
+    let request = http::read_request(&mut stream);
+    if let ReadOutcome::Disconnected = request {
+        return;
+    }
+    shared.answering.acquire();
+    let _answering = ConnSlot(Arc::clone(&shared.answering));
+    let response = match request {
         ReadOutcome::Disconnected => return,
         ReadOutcome::Malformed(e) => Response::error(e.status, &e.message),
         ReadOutcome::Request(request) => route(&request, shared),

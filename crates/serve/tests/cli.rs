@@ -212,3 +212,62 @@ fn layer_filter_selects_targets_from_gds() {
     assert!(stderr(&out).contains("42"), "{}", stderr(&out));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Starts `cardopc <mode> --addr 127.0.0.1:0 [extra…]`, asks it to stop
+/// with `POST <stop_path>`, and returns the answer's status and the
+/// process's exit status. The answer must arrive before the process
+/// exits: a connection closed without one is a failure.
+fn start_then_stop(mode: &str, extra: &[&str], stop_path: &str, dir: &Path) -> (u16, bool) {
+    use std::io::BufRead;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cardopc"))
+        .arg(mode)
+        .args(["--addr", "127.0.0.1:0"])
+        .args(extra)
+        .current_dir(dir)
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let mut announce = String::new();
+    let mut stdout = std::io::BufReader::new(child.stdout.take().expect("stdout was piped"));
+    stdout.read_line(&mut announce).expect("announce line");
+    let addr: std::net::SocketAddr = announce
+        .trim()
+        .rsplit(' ')
+        .next()
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("unexpected announce line {announce:?}"));
+    let answer = cardopc_serve::client::request_with_timeout(
+        addr,
+        "POST",
+        stop_path,
+        None,
+        std::time::Duration::from_secs(30),
+    );
+    let status = child.wait().expect("process exits");
+    let answer = answer.unwrap_or_else(|e| panic!("{mode}: no answer to {stop_path}: {e}"));
+    (answer.status, status.success())
+}
+
+/// Ten serve and ten worker processes, started and stopped at once: the
+/// load widens the window between the stop request waking the main
+/// thread and the handler writing its answer.
+#[test]
+fn drain_and_shutdown_answer_before_the_process_exits() {
+    let dir = tempdir("stop");
+    let dir = &dir;
+    std::thread::scope(|scope| {
+        for round in 0..10 {
+            scope.spawn(move || {
+                let runs = format!("runs-{round}");
+                let served = start_then_stop("serve", &["--run-root", &runs], "/admin/drain", dir);
+                assert_eq!(served, (202, true), "serve round {round}");
+            });
+            scope.spawn(move || {
+                let worker = start_then_stop("worker", &[], "/admin/shutdown", dir);
+                assert_eq!(worker, (202, true), "worker round {round}");
+            });
+        }
+    });
+    let _ = std::fs::remove_dir_all(dir);
+}

@@ -634,6 +634,37 @@ fn registered_fleet_workers_run_jobs_byte_identically() {
     let _ = std::fs::remove_dir_all(root);
 }
 
+#[test]
+fn jobs_fall_back_in_process_when_every_registered_worker_is_gone() {
+    let (server, addr, root) = start("fleet-fallback", 4, 1);
+
+    // Register a live remote worker (the registration probe passes), then
+    // stop it: every dispatch now meets a refused connection.
+    let mut worker =
+        cardopc_fleet::worker::WorkerServer::start(Default::default()).expect("worker starts");
+    let body = format!(r#"{{"addr": "{}"}}"#, worker.local_addr());
+    let created = client::post_json(addr, "/v1/workers", &body).unwrap();
+    assert_eq!(created.status, 201, "{}", created.body_str());
+    worker.shutdown();
+
+    // The fleet retires the dead worker and the job finishes in process,
+    // byte-identical to a direct run.
+    let job = submit(addr, SMOKE_JOB);
+    let done = wait_terminal(addr, &job);
+    assert_eq!(state(&done), "done", "{done:?}");
+    assert_eq!(result_manifest(addr, &job), direct_manifest(SMOKE_JOB, 1));
+
+    let metrics = client::get(addr, "/metrics").unwrap().body_str();
+    assert_eq!(metric_value(&metrics, "cardopc_fleet_jobs_total "), 1);
+    assert!(
+        metric_value(&metrics, "cardopc_fleet_workers_retired_total ") >= 1,
+        "{metrics}"
+    );
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(root);
+}
+
 /// A GDS-file job referencing `name` in the run root: same tiling/OPC as
 /// [`SMOKE_JOB`], capped at 4 tiles so a fuzz survivor stays cheap.
 fn gds_job(name: &str) -> String {
