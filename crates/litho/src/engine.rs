@@ -119,9 +119,9 @@ impl LithoEngine {
     ///
     /// # Errors
     ///
-    /// * [`LithoError::EmptyGrid`] for zero-sized dimensions (any nonzero
-    ///   grid is FFT-compatible: 5-smooth sizes run on the direct
-    ///   mixed-radix path, everything else via Bluestein),
+    /// * [`LithoError::GridNotFiveSmooth`] when a side is not 5-smooth
+    ///   (`2^a·3^b·5^c`, the lengths the FFT runs on; 0 included) — size
+    ///   grids with [`crate::next_five_smooth`],
     /// * [`LithoError::InvalidOptics`] for bad physical parameters.
     pub fn new(
         config: OpticsConfig,
@@ -448,6 +448,25 @@ mod tests {
             }
         }
         mask
+    }
+
+    #[test]
+    fn grid_sides_that_are_not_five_smooth_are_typed_errors() {
+        // 0, 7 and 98 = 2·7² have no FFT plan; both precisions refuse them
+        // at construction instead of panicking on first use.
+        for (w, h) in [(0, 64), (7, 64), (64, 98)] {
+            let want = Some(LithoError::GridNotFiveSmooth {
+                width: w,
+                height: h,
+            });
+            assert_eq!(
+                LithoEngine::new(OpticsConfig::default(), w, h, 8.0).err(),
+                want
+            );
+            let f32_engine =
+                LithoEngine::with_precision(OpticsConfig::default(), w, h, 8.0, Precision::F32);
+            assert_eq!(f32_engine.err(), want);
+        }
     }
 
     #[test]

@@ -7,10 +7,10 @@ use std::fmt;
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum LithoError {
-    /// Simulation grid dimensions must be nonzero. (Any nonzero size is
-    /// transformable: 5-smooth lengths on the direct mixed-radix path,
-    /// everything else via Bluestein.)
-    EmptyGrid {
+    /// Both simulation grid sides must be 5-smooth (`2^a·3^b·5^c`), the
+    /// lengths the FFT runs on; zero is not. Round sizes up with
+    /// [`crate::next_five_smooth`].
+    GridNotFiveSmooth {
         /// Offending width.
         width: usize,
         /// Offending height.
@@ -34,9 +34,9 @@ pub enum LithoError {
 impl fmt::Display for LithoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LithoError::EmptyGrid { width, height } => write!(
+            LithoError::GridNotFiveSmooth { width, height } => write!(
                 f,
-                "simulation grid must have nonzero dimensions, got {width}x{height}"
+                "simulation grid sides must be 5-smooth (2^a*3^b*5^c), got {width}x{height}"
             ),
             LithoError::InvalidOptics(what) => write!(f, "invalid optics parameter: {what}"),
             LithoError::GridMismatch { expected, got } => write!(
@@ -58,7 +58,7 @@ mod tests {
 
     #[test]
     fn messages_nonempty() {
-        let e = LithoError::EmptyGrid {
+        let e = LithoError::GridNotFiveSmooth {
             width: 100,
             height: 64,
         };

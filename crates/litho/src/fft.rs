@@ -3,7 +3,7 @@
 //! The lithography engine computes Hopkins/Abbe partially coherent images as
 //! weighted sums of `|IFFT(FFT(mask) · H_k)|²` terms; no FFT crate is on the
 //! approved dependency list, so the transforms are implemented in
-//! [`crate::plan`] (mixed-radix Stockham + Bluestein) and driven from here.
+//! [`crate::plan`] (mixed-radix Stockham) and driven from here.
 //!
 //! [`Field`] stores its samples **split-complex** (structure-of-arrays:
 //! separate `re[]`/`im[]` vectors) rather than interleaved. Every hot loop —
@@ -14,10 +14,10 @@
 //! [`Scalar`] element (`f64` by default, `f32` for the single-precision
 //! simulation backend); the boundary values — mask samples in, intensities
 //! out — stay `f64` and are narrowed/widened at the edges, so for
-//! `T = f64` every path is bit-identical to the pre-generic code. Any
-//! nonzero dimensions are accepted; 5-smooth sizes (`2^a·3^b·5^c`) run the
-//! direct mixed-radix pipeline and are what [`next_five_smooth`] rounds
-//! grids to, while other sizes transparently fall back to Bluestein.
+//! `T = f64` every path is bit-identical to the pre-generic code.
+//! Transforms run on 5-smooth sides (`2^a·3^b·5^c`) only: those are what
+//! [`next_five_smooth`] rounds grids to, and [`crate::build_kernels`]
+//! rejects any other grid with a typed error before a field is built.
 
 use crate::plan::FftPlan;
 use crate::scalar::Scalar;
@@ -133,20 +133,8 @@ impl fmt::Display for Complex {
     }
 }
 
-/// Returns `true` when `n` is a power of two (and nonzero).
-#[inline]
-pub fn is_power_of_two(n: usize) -> bool {
-    n != 0 && n & (n - 1) == 0
-}
-
-/// Smallest power of two `>= n`.
-#[inline]
-pub fn next_power_of_two(n: usize) -> usize {
-    n.next_power_of_two()
-}
-
 /// Returns `true` when `n` has no prime factors other than 2, 3 and 5
-/// (and is nonzero) — the lengths the direct mixed-radix FFT handles.
+/// (and is nonzero) — the lengths the mixed-radix FFT handles.
 pub fn is_five_smooth(n: usize) -> bool {
     if n == 0 {
         return false;
@@ -164,20 +152,44 @@ pub fn is_five_smooth(n: usize) -> bool {
 ///
 /// Grid sizing rounds up to this instead of the next power of two: 5-smooth
 /// numbers are dense (worst-case overhead a few percent, vs up to 2× for
-/// pow2 padding), and the FFT runs its direct mixed-radix path on them.
+/// pow2 padding), and they are the lengths the FFT runs on. The candidates
+/// `5^c·3^b·2^a` are enumerated directly in `u128`, so the cost is
+/// logarithmic in `n` and no step can wrap.
+///
+/// # Panics
+///
+/// Panics when no 5-smooth number `>= n` fits in `usize` (only for `n`
+/// just below `usize::MAX`).
 pub fn next_five_smooth(n: usize) -> usize {
-    let mut m = n.max(1);
-    while !is_five_smooth(m) {
-        m += 1;
+    let n = n.max(1) as u128;
+    // The power of two alone is a candidate, so `best <= 2^64` and none of
+    // the products below can overflow `u128`.
+    let mut best = u128::MAX;
+    let mut p5 = 1u128;
+    while p5 < best {
+        let mut p35 = p5;
+        while p35 < best {
+            let mut m = p35;
+            while m < n {
+                m *= 2;
+            }
+            best = best.min(m);
+            p35 *= 3;
+        }
+        p5 *= 5;
     }
-    m
+    usize::try_from(best).expect("no 5-smooth number >= n fits in usize")
 }
 
-/// In-place iterative FFT over interleaved complex samples (any length).
+/// In-place iterative FFT over interleaved complex samples.
 ///
 /// `inverse = true` computes the inverse transform *including* the `1/n`
 /// normalisation, so `ifft(fft(x)) == x`. Compatibility/diagnostic entry
 /// point — hot paths use the split-complex [`Field`]/[`FftPlan`] APIs.
+///
+/// # Panics
+///
+/// Panics when `data.len() > 1` is not 5-smooth (see [`FftPlan::get`]).
 pub fn fft_inplace(data: &mut [Complex], inverse: bool) {
     if data.len() <= 1 {
         return;
@@ -286,22 +298,17 @@ pub(crate) fn transpose_gather<T: Scalar>(
 
 /// Reusable scratch buffers for FFT execution, one per worker/slot.
 ///
-/// Holds the Stockham ping-pong pair, the Bluestein convolution pair, the
-/// 2-D transpose pair and the column-gather pair as separate allocations so
-/// the borrow checker can hand disjoint `&mut` views to nested plan
-/// executions. All buffers start empty and grow on demand, then are reused
-/// without further allocation — replacing the seed's per-call
-/// `Vec<Complex>` scratch arguments.
+/// Holds the Stockham ping-pong pair, the 2-D transpose pair and the
+/// column-gather pair as separate allocations so the borrow checker can
+/// hand disjoint `&mut` views to nested plan executions. All buffers start
+/// empty and grow on demand, then are reused without further allocation —
+/// replacing the seed's per-call `Vec<Complex>` scratch arguments.
 #[derive(Clone, Debug, Default)]
 pub struct FftScratch<T: Scalar = f64> {
     /// Stockham ping-pong partner (re lane).
     pub(crate) pong_re: Vec<T>,
     /// Stockham ping-pong partner (im lane).
     pub(crate) pong_im: Vec<T>,
-    /// Bluestein convolution workspace (re lane).
-    pub(crate) blu_re: Vec<T>,
-    /// Bluestein convolution workspace (im lane).
-    pub(crate) blu_im: Vec<T>,
     /// Blocked-transpose buffer for 2-D column passes (re lane).
     pub(crate) t_re: Vec<T>,
     /// Blocked-transpose buffer for 2-D column passes (im lane).
@@ -329,7 +336,8 @@ fn ensure<T: Scalar>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
 
 /// A 2-D complex field, row-major, stored split-complex (separate re/im
 /// lanes of [`Scalar`] samples, `f64` by default). Any nonzero dimensions
-/// are accepted.
+/// can be stored; the transforms need 5-smooth sides and panic on others
+/// (see [`FftPlan::get`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Field<T: Scalar = f64> {
     width: usize,
@@ -519,8 +527,6 @@ impl<T: Scalar> Field<T> {
         let FftScratch {
             pong_re,
             pong_im,
-            blu_re,
-            blu_im,
             col_re,
             col_im,
             ..
@@ -532,7 +538,7 @@ impl<T: Scalar> Field<T> {
             .zip(live_rows)
         {
             if live {
-                plan_w.execute_split_parts(mode, rr, ri, pong_re, pong_im, blu_re, blu_im, true);
+                plan_w.execute_split_parts(mode, rr, ri, pong_re, pong_im, true);
             }
         }
         let col_re = ensure(col_re, h);
@@ -543,8 +549,7 @@ impl<T: Scalar> Field<T> {
                 col_re[y] = self.re[y * w + x];
                 col_im[y] = self.im[y * w + x];
             }
-            plan_h
-                .execute_split_parts(mode, col_re, col_im, pong_re, pong_im, blu_re, blu_im, true);
+            plan_h.execute_split_parts(mode, col_re, col_im, pong_re, pong_im, true);
             simd::acc_norm_sq(mode, col_re, col_im, weight, &mut acc[ci * h..(ci + 1) * h]);
         }
     }
@@ -588,8 +593,6 @@ impl<T: Scalar> Field<T> {
         let FftScratch {
             pong_re,
             pong_im,
-            blu_re,
-            blu_im,
             col_re,
             col_im,
             ..
@@ -601,7 +604,7 @@ impl<T: Scalar> Field<T> {
             .zip(live_rows)
         {
             if live {
-                plan_w.execute_split_parts(mode, rr, ri, pong_re, pong_im, blu_re, blu_im, true);
+                plan_w.execute_split_parts(mode, rr, ri, pong_re, pong_im, true);
             }
         }
         // Gather 8 adjacent columns per pass so each cache line of the
@@ -634,7 +637,7 @@ impl<T: Scalar> Field<T> {
                     &mut col_re[j * cs..j * cs + h],
                     &mut col_im[j * cs..j * cs + h],
                 );
-                plan_h.execute_split_parts(mode, cr, ci, pong_re, pong_im, blu_re, blu_im, true);
+                plan_h.execute_split_parts(mode, cr, ci, pong_re, pong_im, true);
                 let x = x0 + j;
                 simd::acc_norm_sq(mode, cr, ci, weight, &mut acc_t[x * h..(x + 1) * h]);
             }
@@ -655,8 +658,6 @@ impl<T: Scalar> Field<T> {
         let FftScratch {
             pong_re,
             pong_im,
-            blu_re,
-            blu_im,
             t_re,
             t_im,
             ..
@@ -664,9 +665,7 @@ impl<T: Scalar> Field<T> {
         match live_rows {
             None => {
                 for (rr, ri) in self.re.chunks_exact_mut(w).zip(self.im.chunks_exact_mut(w)) {
-                    plan_w.execute_split_parts(
-                        mode, rr, ri, pong_re, pong_im, blu_re, blu_im, inverse,
-                    );
+                    plan_w.execute_split_parts(mode, rr, ri, pong_re, pong_im, inverse);
                 }
             }
             Some(mask) => {
@@ -677,9 +676,7 @@ impl<T: Scalar> Field<T> {
                     .zip(mask)
                 {
                     if live {
-                        plan_w.execute_split_parts(
-                            mode, rr, ri, pong_re, pong_im, blu_re, blu_im, inverse,
-                        );
+                        plan_w.execute_split_parts(mode, rr, ri, pong_re, pong_im, inverse);
                     }
                 }
             }
@@ -695,16 +692,7 @@ impl<T: Scalar> Field<T> {
         transpose_scatter(&self.re, h, w, t_re, cs);
         transpose_scatter(&self.im, h, w, t_im, cs);
         for (cr, ci) in t_re.chunks_exact_mut(cs).zip(t_im.chunks_exact_mut(cs)) {
-            plan_h.execute_split_parts(
-                mode,
-                &mut cr[..h],
-                &mut ci[..h],
-                pong_re,
-                pong_im,
-                blu_re,
-                blu_im,
-                inverse,
-            );
+            plan_h.execute_split_parts(mode, &mut cr[..h], &mut ci[..h], pong_re, pong_im, inverse);
         }
         transpose_gather(t_re, cs, h, w, &mut self.re);
         transpose_gather(t_im, cs, h, w, &mut self.im);
@@ -756,8 +744,6 @@ impl<T: Scalar> Field<T> {
         let FftScratch {
             pong_re,
             pong_im,
-            blu_re,
-            blu_im,
             t_re,
             t_im,
             ..
@@ -773,16 +759,7 @@ impl<T: Scalar> Field<T> {
         if h == 1 {
             narrow(&mut self.re, real);
             self.im.fill(T::ZERO);
-            plan_w.execute_split_parts(
-                mode,
-                &mut self.re,
-                &mut self.im,
-                pong_re,
-                pong_im,
-                blu_re,
-                blu_im,
-                false,
-            );
+            plan_w.execute_split_parts(mode, &mut self.re, &mut self.im, pong_re, pong_im, false);
             return;
         }
 
@@ -795,7 +772,7 @@ impl<T: Scalar> Field<T> {
             let (im_a, im_b) = self.im[2 * t * w..(2 * t + 2) * w].split_at_mut(w);
             narrow(re_a, &real[2 * t * w..(2 * t + 1) * w]);
             narrow(im_a, &real[(2 * t + 1) * w..(2 * t + 2) * w]);
-            plan_w.execute_split_parts(mode, re_a, im_a, pong_re, pong_im, blu_re, blu_im, false);
+            plan_w.execute_split_parts(mode, re_a, im_a, pong_re, pong_im, false);
             for k in 0..=w / 2 {
                 let km = (w - k) % w;
                 let (zkr, zki) = (re_a[k], im_a[k]);
@@ -819,7 +796,7 @@ impl<T: Scalar> Field<T> {
             let im_l = &mut self.im[row..row + w];
             narrow(re_l, &real[row..row + w]);
             im_l.fill(T::ZERO);
-            plan_w.execute_split_parts(mode, re_l, im_l, pong_re, pong_im, blu_re, blu_im, false);
+            plan_w.execute_split_parts(mode, re_l, im_l, pong_re, pong_im, false);
         }
 
         // Column pass, identical to the complex path (padded scratch
@@ -831,16 +808,7 @@ impl<T: Scalar> Field<T> {
         transpose_scatter(&self.re, h, w, t_re, cs);
         transpose_scatter(&self.im, h, w, t_im, cs);
         for (cr, ci) in t_re.chunks_exact_mut(cs).zip(t_im.chunks_exact_mut(cs)) {
-            plan_h.execute_split_parts(
-                mode,
-                &mut cr[..h],
-                &mut ci[..h],
-                pong_re,
-                pong_im,
-                blu_re,
-                blu_im,
-                false,
-            );
+            plan_h.execute_split_parts(mode, &mut cr[..h], &mut ci[..h], pong_re, pong_im, false);
         }
         transpose_gather(t_re, cs, h, w, &mut self.re);
         transpose_gather(t_im, cs, h, w, &mut self.im);
@@ -1107,8 +1075,8 @@ mod tests {
 
     #[test]
     fn fft_roundtrip() {
-        // Pow2, mixed-radix 5-smooth, and Bluestein lengths all roundtrip.
-        for n in [64usize, 60, 45, 13] {
+        // Pow2 and mixed-radix 5-smooth lengths all roundtrip.
+        for n in [64usize, 60, 45, 15] {
             let orig = random_signal(n, 1);
             let mut x = orig.clone();
             fft_inplace(&mut x, false);
@@ -1171,8 +1139,8 @@ mod tests {
 
     #[test]
     fn field_roundtrip_2d() {
-        // Pow2, mixed 5-smooth, and non-5-smooth (Bluestein) dimensions.
-        for (w, h, seed) in [(16, 8, 9u64), (12, 10, 10), (15, 9, 11), (7, 13, 12)] {
+        // Pow2, mixed 5-smooth, and pure radix-5 / odd dimensions.
+        for (w, h, seed) in [(16, 8, 9u64), (12, 10, 10), (15, 9, 11), (5, 15, 12)] {
             let mut rng = SplitMix64::new(seed);
             let real: Vec<f64> = (0..w * h).map(|_| rng.range_f64(-1.0, 1.0)).collect();
             let orig: Field = Field::from_real(w, h, &real);
@@ -1244,15 +1212,6 @@ mod tests {
     }
 
     #[test]
-    fn power_of_two_helpers() {
-        assert!(is_power_of_two(1));
-        assert!(is_power_of_two(1024));
-        assert!(!is_power_of_two(0));
-        assert!(!is_power_of_two(12));
-        assert_eq!(next_power_of_two(100), 128);
-    }
-
-    #[test]
     fn five_smooth_helpers() {
         for n in [1usize, 2, 3, 4, 5, 6, 8, 9, 10, 125, 192, 320, 640, 4096] {
             assert!(is_five_smooth(n), "{n}");
@@ -1269,6 +1228,25 @@ mod tests {
     }
 
     #[test]
+    fn next_five_smooth_is_exact_and_cannot_wrap() {
+        // The direct enumeration agrees with a one-step walk...
+        let mut walk = 1usize;
+        for n in 0..5000usize {
+            while walk < n || !is_five_smooth(walk) {
+                walk += 1;
+            }
+            assert_eq!(next_five_smooth(n), walk, "n {n}");
+        }
+        // ...stays fast where the gaps between 5-smooth numbers are huge...
+        for n in [(1usize << 40) + 1, 1_000_000_000_007, (1 << 62) + 1] {
+            let m = next_five_smooth(n);
+            assert!(m >= n && is_five_smooth(m), "n {n} -> {m}");
+        }
+        // ...and refuses, instead of wrapping, past the last one in `usize`.
+        assert!(std::panic::catch_unwind(|| next_five_smooth(usize::MAX)).is_err());
+    }
+
+    #[test]
     fn real_packed_forward_matches_complex_path() {
         // The two-rows-per-transform packed path must agree with the plain
         // complex transform on real input, including non-square grids, odd
@@ -1282,7 +1260,7 @@ mod tests {
             (64, 64, 24),
             (8, 5, 25),
             (12, 9, 26),
-            (15, 7, 27),
+            (15, 3, 27),
             (20, 15, 28),
         ] {
             let mut rng = SplitMix64::new(seed);

@@ -7,9 +7,10 @@
 //! this crate implements the full imaging chain from scratch:
 //!
 //! * [`fft`] / [`plan`] / [`simd`] — an in-repo split-complex FFT core
-//!   (mixed-radix Stockham for 5-smooth sizes, Bluestein otherwise; no FFT
-//!   crate is on the approved dependency list) with runtime-dispatched
-//!   AVX2/FMA kernels behind a scalar fallback (`CARDOPC_SIMD=off`),
+//!   (mixed-radix Stockham on 5-smooth sizes, the only grid sides the
+//!   engine accepts; no FFT crate is on the approved dependency list) with
+//!   runtime-dispatched AVX2/FMA kernels, each written once for 4×`f64`
+//!   and 8×`f32` lanes, behind a scalar fallback (`CARDOPC_SIMD=off`),
 //! * [`OpticsConfig`] / SOCS kernel synthesis — an annular partially
 //!   coherent source discretised by Abbe's method into a kernel stack with
 //!   exactly the Hopkins structure `I = Σ w_k |M ⊗ h_k|²`,

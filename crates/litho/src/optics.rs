@@ -16,7 +16,7 @@
 //! The aerial image is then exactly the Hopkins/SOCS form of Eq. (1):
 //! `I = Σ_s w_s · |M ⊗ h_s|²`, evaluated in the frequency domain.
 
-use crate::fft::{Complex, Field};
+use crate::fft::{is_five_smooth, Complex, Field};
 use crate::scalar::Scalar;
 use crate::LithoError;
 
@@ -173,10 +173,10 @@ impl<T: Scalar> SocsKernel<T> {
 
 /// Builds the SOCS kernel stack for a simulation grid.
 ///
-/// `width`/`height` are the grid dimensions in pixels (any nonzero sizes;
-/// 5-smooth lengths run on the direct mixed-radix path, everything else
-/// falls back to Bluestein), `pitch` the pixel size in nanometres, `defocus`
-/// the defocus distance in nanometres (0 for the nominal-focus stack).
+/// `width`/`height` are the grid dimensions in pixels (both 5-smooth, the
+/// lengths the FFT runs on — see [`crate::next_five_smooth`]), `pitch` the
+/// pixel size in nanometres, `defocus` the defocus distance in nanometres
+/// (0 for the nominal-focus stack).
 ///
 /// Zero-defocus stacks fold antipodal source-point pairs into single
 /// kernels with doubled weights (the transfers are real, so the paired
@@ -186,8 +186,8 @@ impl<T: Scalar> SocsKernel<T> {
 ///
 /// # Errors
 ///
-/// Propagates [`OpticsConfig::validate`] failures and rejects empty
-/// grids.
+/// Propagates [`OpticsConfig::validate`] failures; a side that is not
+/// 5-smooth (including 0) is [`LithoError::GridNotFiveSmooth`].
 pub fn build_kernels(
     config: &OpticsConfig,
     width: usize,
@@ -196,8 +196,8 @@ pub fn build_kernels(
     defocus: f64,
 ) -> Result<Vec<SocsKernel>, LithoError> {
     config.validate()?;
-    if width == 0 || height == 0 {
-        return Err(LithoError::EmptyGrid { width, height });
+    if !(is_five_smooth(width) && is_five_smooth(height)) {
+        return Err(LithoError::GridNotFiveSmooth { width, height });
     }
     if !(pitch > 0.0 && pitch.is_finite()) {
         return Err(LithoError::InvalidOptics("pitch must be positive"));
@@ -409,7 +409,7 @@ mod tests {
         let cfg = OpticsConfig::default();
         assert!(matches!(
             build_kernels(&cfg, 0, 64, 1.0, 0.0),
-            Err(LithoError::EmptyGrid { .. })
+            Err(LithoError::GridNotFiveSmooth { .. })
         ));
     }
 

@@ -1,4 +1,4 @@
-//! Cached FFT execution plans: mixed-radix Stockham autosort + Bluestein.
+//! Cached FFT execution plans: mixed-radix Stockham autosort.
 //!
 //! Every transform size used by the engine gets one [`FftPlan`], built once
 //! and shared process-wide through a registry behind a `OnceLock`. Plans
@@ -9,24 +9,20 @@
 //! Plans are generic over the [`Scalar`] element type: one registry entry
 //! per `(precision, size)` pair, so the `f32` backend gets its own narrowed
 //! twiddle tables without touching the `f64` reference plans. All twiddles
-//! and chirps are *computed* in `f64` and narrowed through
-//! [`Scalar::from_f64`] — for `T = f64` the tables (and the executed
-//! arithmetic) are bit-identical to the pre-generic implementation.
+//! are *computed* in `f64` and narrowed through [`Scalar::from_f64`] — for
+//! `T = f64` the tables (and the executed arithmetic) are bit-identical to
+//! the pre-generic implementation.
 //!
-//! 5-smooth lengths (`2^a·3^b·5^c`, which covers every size the litho
-//! engine schedules) run a **Stockham autosort** decimation-in-frequency
-//! pipeline: radix-4 stages are peeled greedily, then one radix-2, then
-//! radix-3/5 — so the large-stride stages that dominate runtime are radix-4
-//! and the inner `q` loops are contiguous and autovectorize. Stockham
-//! ping-pongs between the data and a scratch buffer instead of performing a
-//! bit-reversal permutation, which is what makes the split layout pay: no
-//! index shuffling, just streaming passes.
-//!
-//! All other lengths fall back to **Bluestein's chirp-z** algorithm: the
-//! size-`n` DFT becomes a cyclic convolution of length `M = next 5-smooth
-//! ≥ 2n−1`, evaluated with the Stockham pipeline above. Any `n ≥ 1` is
-//! therefore accepted; 5-smooth sizes are simply faster (and are what
-//! [`crate::fft::next_five_smooth`] rounds grids to).
+//! Plans exist for 5-smooth lengths (`2^a·3^b·5^c`) only — the sizes
+//! [`crate::fft::next_five_smooth`] rounds every simulation grid to, and
+//! which [`crate::build_kernels`] enforces at the crate boundary. They run
+//! a **Stockham autosort** decimation-in-frequency pipeline: radix-4 stages
+//! are peeled greedily, then one radix-2, then radix-3/5 — so the
+//! large-stride stages that dominate runtime are radix-4 and the inner `q`
+//! loops are contiguous and autovectorize. Stockham ping-pongs between the
+//! data and a scratch buffer instead of performing a bit-reversal
+//! permutation, which is what makes the split layout pay: no index
+//! shuffling, just streaming passes.
 //!
 //! Twiddles are precomputed per stage at plan build (`exp(∓2πi·pj/n_cur)`
 //! with the inverse table stored as the conjugate), replacing the seed's
@@ -54,9 +50,12 @@ struct Stage {
     tw_off: usize,
 }
 
-/// Stockham pipeline for a 5-smooth length.
+/// A reusable execution plan for one 5-smooth transform size at one
+/// [`Scalar`] precision (defaulting to the `f64` reference): the Stockham
+/// stages and their twiddle tables.
 #[derive(Debug)]
-struct Stages<T: Scalar> {
+pub struct FftPlan<T: Scalar = f64> {
+    n: usize,
     stages: Vec<Stage>,
     /// Twiddle real parts (shared by both directions).
     tw_re: Vec<T>,
@@ -66,9 +65,8 @@ struct Stages<T: Scalar> {
     tw_im_inv: Vec<T>,
 }
 
-impl<T: Scalar> Stages<T> {
-    fn build(n: usize) -> Stages<T> {
-        debug_assert!(crate::fft::is_five_smooth(n));
+impl<T: Scalar> FftPlan<T> {
+    fn build(n: usize) -> FftPlan<T> {
         let mut stages = Vec::new();
         let mut tw_re = Vec::new();
         let mut tw_im_fwd: Vec<T> = Vec::new();
@@ -104,7 +102,8 @@ impl<T: Scalar> Stages<T> {
             s *= radix;
         }
         let tw_im_inv = tw_im_fwd.iter().map(|&v| -v).collect();
-        Stages {
+        FftPlan {
+            n,
             stages,
             tw_re,
             tw_im_fwd,
@@ -160,7 +159,7 @@ impl<T: Scalar> Stages<T> {
 #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn stages_avx2<const FWD: bool, T: Scalar>(
-    plan: &Stages<T>,
+    plan: &FftPlan<T>,
     tw_im: &[T],
     re: &mut [T],
     im: &mut [T],
@@ -171,7 +170,7 @@ unsafe fn stages_avx2<const FWD: bool, T: Scalar>(
         // SAFETY: `Scalar` is sealed, so `PRECISION == F32` implies
         // `T == f32`; the casts below are identity reinterpretations.
         unsafe {
-            let plan = &*(plan as *const Stages<T> as *const Stages<f32>);
+            let plan = &*(plan as *const FftPlan<T> as *const FftPlan<f32>);
             let tw_im = &*(tw_im as *const [T] as *const [f32]);
             let re = &mut *(re as *mut [T] as *mut [f32]);
             let im = &mut *(im as *mut [T] as *mut [f32]);
@@ -193,7 +192,7 @@ unsafe fn stages_avx2<const FWD: bool, T: Scalar>(
 #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn stages_body_ps<const FWD: bool>(
-    plan: &Stages<f32>,
+    plan: &FftPlan<f32>,
     tw_im: &[f32],
     re: &mut [f32],
     im: &mut [f32],
@@ -227,7 +226,7 @@ unsafe fn stages_body_ps<const FWD: bool>(
 
 #[inline(always)]
 fn stages_body<const FWD: bool, T: Scalar>(
-    plan: &Stages<T>,
+    plan: &FftPlan<T>,
     tw_im: &[T],
     re: &mut [T],
     im: &mut [T],
@@ -548,175 +547,6 @@ pub(crate) fn stage5_generic<const FWD: bool, T: Scalar>(
     }
 }
 
-/// Bluestein chirp-z fallback: DFT of arbitrary `n` as a length-`m` cyclic
-/// convolution with a chirp, `m` 5-smooth and ≥ `2n−1`.
-#[derive(Debug)]
-struct Bluestein<T: Scalar> {
-    n: usize,
-    m: usize,
-    /// The (always-Direct) plan for the convolution length.
-    plan_m: Arc<FftPlan<T>>,
-    /// `exp(−iπk²/n)` for `k in 0..n` (angles reduced with `k² mod 2n`).
-    chirp_re: Vec<T>,
-    chirp_im: Vec<T>,
-    /// Forward FFT of the conjugate-chirp filter, pre-scaled by `1/m` so the
-    /// unscaled inverse convolution comes out exactly normalised.
-    bf_re: Vec<T>,
-    bf_im: Vec<T>,
-}
-
-impl<T: Scalar> Bluestein<T> {
-    fn build(n: usize) -> Bluestein<T> {
-        let m = crate::fft::next_five_smooth(2 * n - 1);
-        let plan_m = FftPlan::<T>::get(m);
-        let two_n = 2 * n as u128;
-        let mut chirp_re = Vec::with_capacity(n);
-        let mut chirp_im = Vec::with_capacity(n);
-        for k in 0..n as u128 {
-            let sq = ((k * k) % two_n) as f64;
-            let ang = -std::f64::consts::PI * sq / n as f64;
-            let (si, co) = ang.sin_cos();
-            chirp_re.push(T::from_f64(co));
-            chirp_im.push(T::from_f64(si));
-        }
-        let mut bf_re = vec![T::ZERO; m];
-        let mut bf_im = vec![T::ZERO; m];
-        for k in 0..n {
-            bf_re[k] = chirp_re[k];
-            bf_im[k] = -chirp_im[k];
-            if k > 0 {
-                bf_re[m - k] = chirp_re[k];
-                bf_im[m - k] = -chirp_im[k];
-            }
-        }
-        // One-time build cost: the scalar path keeps the filter spectrum
-        // independent of the runtime dispatch decision (the Stockham stages
-        // are bitwise mode-identical anyway; this just makes it obvious).
-        let mut scratch = FftScratch::new();
-        plan_m.execute_unscaled_split_with(
-            SimdMode::Scalar,
-            &mut bf_re,
-            &mut bf_im,
-            &mut scratch,
-            false,
-        );
-        let inv_m = T::from_f64(1.0 / m as f64);
-        for v in bf_re.iter_mut().chain(bf_im.iter_mut()) {
-            *v *= inv_m;
-        }
-        Bluestein {
-            n,
-            m,
-            plan_m,
-            chirp_re,
-            chirp_im,
-            bf_re,
-            bf_im,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        &self,
-        mode: SimdMode,
-        re: &mut [T],
-        im: &mut [T],
-        pong_re: &mut Vec<T>,
-        pong_im: &mut Vec<T>,
-        blu_re: &mut Vec<T>,
-        blu_im: &mut Vec<T>,
-        inverse: bool,
-    ) {
-        let (n, m) = (self.n, self.m);
-        // Unscaled IDFT via conjugation: conj(DFT(conj(x))).
-        if inverse {
-            for v in im.iter_mut() {
-                *v = -*v;
-            }
-        }
-        let stages = self.plan_m.direct_stages();
-        if pong_re.len() < m {
-            pong_re.resize(m, T::ZERO);
-        }
-        if pong_im.len() < m {
-            pong_im.resize(m, T::ZERO);
-        }
-        if blu_re.len() < m {
-            blu_re.resize(m, T::ZERO);
-        }
-        if blu_im.len() < m {
-            blu_im.resize(m, T::ZERO);
-        }
-        // a = x·chirp, zero-padded to m.
-        simd::cmul(
-            mode,
-            re,
-            im,
-            &self.chirp_re,
-            &self.chirp_im,
-            &mut blu_re[..n],
-            &mut blu_im[..n],
-        );
-        blu_re[n..m].fill(T::ZERO);
-        blu_im[n..m].fill(T::ZERO);
-        // A = FFT_m(a), C = A·(B/m), c = unscaled IFFT_m(C).
-        stages.run(
-            mode,
-            false,
-            &mut blu_re[..m],
-            &mut blu_im[..m],
-            &mut pong_re[..m],
-            &mut pong_im[..m],
-        );
-        simd::cmul(
-            mode,
-            &blu_re[..m],
-            &blu_im[..m],
-            &self.bf_re,
-            &self.bf_im,
-            &mut pong_re[..m],
-            &mut pong_im[..m],
-        );
-        stages.run(
-            mode,
-            true,
-            &mut pong_re[..m],
-            &mut pong_im[..m],
-            &mut blu_re[..m],
-            &mut blu_im[..m],
-        );
-        // y = c·chirp (first n samples).
-        simd::cmul(
-            mode,
-            &pong_re[..n],
-            &pong_im[..n],
-            &self.chirp_re,
-            &self.chirp_im,
-            re,
-            im,
-        );
-        if inverse {
-            for v in im.iter_mut() {
-                *v = -*v;
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
-enum PlanKind<T: Scalar> {
-    Direct(Stages<T>),
-    Bluestein(Box<Bluestein<T>>),
-}
-
-/// A reusable execution plan for one transform size (any `n ≥ 1`) at one
-/// [`Scalar`] precision (defaulting to the `f64` reference).
-#[derive(Debug)]
-pub struct FftPlan<T: Scalar = f64> {
-    n: usize,
-    kind: PlanKind<T>,
-}
-
 impl<T: Scalar> FftPlan<T> {
     /// Transform size this plan executes.
     #[inline]
@@ -724,38 +554,26 @@ impl<T: Scalar> FftPlan<T> {
         self.n
     }
 
-    /// `true` for the degenerate size-0 plan (never constructed in practice).
+    /// Always `false`: no plan has length 0 (see [`FftPlan::get`]).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
 
-    fn build(n: usize) -> FftPlan<T> {
-        assert!(n >= 1, "FFT length must be at least 1");
-        let kind = if crate::fft::is_five_smooth(n) {
-            PlanKind::Direct(Stages::build(n))
-        } else {
-            PlanKind::Bluestein(Box::new(Bluestein::build(n)))
-        };
-        FftPlan { n, kind }
-    }
-
-    fn direct_stages(&self) -> &Stages<T> {
-        match &self.kind {
-            PlanKind::Direct(s) => s,
-            PlanKind::Bluestein(_) => unreachable!("convolution length is always 5-smooth"),
-        }
-    }
-
     /// Fetches (building on first use) the shared plan for size `n` at this
     /// precision. `f64` and `f32` plans are distinct registry entries —
-    /// each precision carries its own narrowed twiddle/chirp tables.
+    /// each precision carries its own narrowed twiddle tables.
     ///
     /// # Panics
     ///
-    /// Panics when `n == 0`.
+    /// Panics when `n` is not 5-smooth (`2^a·3^b·5^c`), which includes
+    /// `n == 0`. Grids reach the FFT through [`crate::build_kernels`], which
+    /// rejects such sides with a typed error first.
     pub fn get(n: usize) -> Arc<FftPlan<T>> {
-        assert!(n >= 1, "FFT length must be at least 1");
+        assert!(
+            crate::fft::is_five_smooth(n),
+            "FFT length {n} is not 5-smooth (2^a·3^b·5^c)"
+        );
         // One registry for both precisions, keyed by the scalar's TypeId;
         // entries are type-erased and downcast on the way out (infallible
         // by construction of the key).
@@ -771,9 +589,8 @@ impl<T: Scalar> FftPlan<T> {
                 Err(_) => unreachable!("registry entry matches its TypeId key"),
             };
         }
-        // Build outside the lock: a Bluestein plan recursively fetches its
-        // convolution-length plan, which must not re-enter a held write
-        // lock. A racing duplicate build is harmless (one Arc wins).
+        // Build outside the lock so concurrent fetches of other sizes are
+        // not blocked. A racing duplicate build is harmless (one Arc wins).
         let plan: Arc<dyn Any + Send + Sync> = Arc::new(FftPlan::<T>::build(n));
         let mut map = registry.write().unwrap_or_else(|e| e.into_inner());
         match Arc::clone(map.entry(key).or_insert(plan)).downcast::<FftPlan<T>>() {
@@ -818,23 +635,18 @@ impl<T: Scalar> FftPlan<T> {
         inverse: bool,
     ) {
         let FftScratch {
-            pong_re,
-            pong_im,
-            blu_re,
-            blu_im,
-            ..
+            pong_re, pong_im, ..
         } = scratch;
-        self.execute_split_parts(mode, re, im, pong_re, pong_im, blu_re, blu_im, inverse);
+        self.execute_split_parts(mode, re, im, pong_re, pong_im, inverse);
     }
 
-    /// Split execution with the scratch vectors passed individually, so 2-D
-    /// drivers holding other parts of an [`FftScratch`] (transpose/gather
+    /// Split execution with the ping-pong vectors passed individually, so
+    /// 2-D drivers holding other parts of an [`FftScratch`] (transpose/gather
     /// lanes) can run row and column transforms without borrow conflicts.
     ///
     /// # Panics
     ///
     /// Panics when `re`/`im` lengths differ from the plan size.
-    #[allow(clippy::too_many_arguments)]
     #[inline]
     pub(crate) fn execute_split_parts(
         &self,
@@ -843,8 +655,6 @@ impl<T: Scalar> FftPlan<T> {
         im: &mut [T],
         pong_re: &mut Vec<T>,
         pong_im: &mut Vec<T>,
-        blu_re: &mut Vec<T>,
-        blu_im: &mut Vec<T>,
         inverse: bool,
     ) {
         assert_eq!(re.len(), self.n, "re length does not match plan size");
@@ -852,27 +662,20 @@ impl<T: Scalar> FftPlan<T> {
         if self.n <= 1 {
             return;
         }
-        match &self.kind {
-            PlanKind::Direct(stages) => {
-                if pong_re.len() < self.n {
-                    pong_re.resize(self.n, T::ZERO);
-                }
-                if pong_im.len() < self.n {
-                    pong_im.resize(self.n, T::ZERO);
-                }
-                stages.run(
-                    mode,
-                    inverse,
-                    re,
-                    im,
-                    &mut pong_re[..self.n],
-                    &mut pong_im[..self.n],
-                );
-            }
-            PlanKind::Bluestein(b) => {
-                b.execute(mode, re, im, pong_re, pong_im, blu_re, blu_im, inverse)
-            }
+        if pong_re.len() < self.n {
+            pong_re.resize(self.n, T::ZERO);
         }
+        if pong_im.len() < self.n {
+            pong_im.resize(self.n, T::ZERO);
+        }
+        self.run(
+            mode,
+            inverse,
+            re,
+            im,
+            &mut pong_re[..self.n],
+            &mut pong_im[..self.n],
+        );
     }
 }
 
@@ -967,20 +770,17 @@ mod tests {
 
     #[test]
     fn plan_matches_naive_dft_for_all_small_sizes() {
-        // Every length 1..=36 — exercises all radix butterflies, every
-        // greedy factoring order, and the Bluestein fallback (7, 11, 13,
-        // 14, 17, 19, 21, 22, 23, 26, 28, 29, 31, 33, 34, 35 are not
-        // 5-smooth).
-        for n in 1..=36 {
+        // Every 5-smooth length in 1..=36 — exercises all radix
+        // butterflies and every greedy factoring order.
+        for n in (1..=36).filter(|&n| crate::fft::is_five_smooth(n)) {
             check_against_dft(n);
         }
     }
 
     #[test]
     fn plan_matches_naive_dft_for_structured_sizes() {
-        // Pure powers of each radix, mixed 5-smooth composites, a prime,
-        // and a prime power.
-        for n in [64, 81, 125, 120, 135, 192, 243, 320, 360, 500, 512, 97, 121] {
+        // Pure powers of each radix and mixed 5-smooth composites.
+        for n in [64, 81, 125, 120, 135, 192, 243, 320, 360, 500, 512, 96, 100] {
             check_against_dft(n);
         }
     }
@@ -988,9 +788,9 @@ mod tests {
     #[test]
     fn f32_plan_matches_f64_reference_within_tolerance() {
         use cardopc_geometry::SplitMix64;
-        // Direct (5-smooth) and Bluestein sizes through the f32 plan, with
-        // the f64 plan of the same size as the reference.
-        for n in [16usize, 60, 97, 125] {
+        // Pow2, mixed-radix and pure radix-5 sizes through the f32 plan,
+        // with the f64 plan of the same size as the reference.
+        for n in [16usize, 60, 96, 125] {
             let mut rng = SplitMix64::new(n as u64 + 3);
             let re64: Vec<f64> = (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect();
             let im64: Vec<f64> = (0..n).map(|_| rng.range_f64(-1.0, 1.0)).collect();
@@ -1019,7 +819,7 @@ mod tests {
     #[test]
     fn split_path_matches_interleaved_path_bitwise() {
         use cardopc_geometry::SplitMix64;
-        for n in [16usize, 15, 13] {
+        for n in [16usize, 15, 12] {
             let mut rng = SplitMix64::new(n as u64);
             let input: Vec<Complex> = (0..n)
                 .map(|_| Complex::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)))
@@ -1055,7 +855,7 @@ mod tests {
 
     #[test]
     fn unscaled_inverse_differs_by_n() {
-        for n in [8usize, 12, 11] {
+        for n in [8usize, 12, 10] {
             let plan = FftPlan::<f64>::get(n);
             let input: Vec<Complex> = (0..n)
                 .map(|i| Complex::new(i as f64, -(i as f64)))
@@ -1071,26 +871,13 @@ mod tests {
     }
 
     #[test]
-    fn non_five_smooth_sizes_roundtrip() {
-        use cardopc_geometry::SplitMix64;
-        // Bluestein path: prime, prime-squared, and 2·prime lengths.
-        for n in [7usize, 49, 14, 97] {
-            let mut rng = SplitMix64::new(n as u64);
-            let input: Vec<Complex> = (0..n)
-                .map(|_| Complex::new(rng.range_f64(-1.0, 1.0), rng.range_f64(-1.0, 1.0)))
-                .collect();
-            let plan = FftPlan::<f64>::get(n);
-            let mut x = input.clone();
-            plan.execute(&mut x, false);
-            plan.execute(&mut x, true);
-            for (a, b) in x.iter().zip(&input) {
-                assert!((*a - *b).norm() < 1e-10, "n {n}");
-            }
-        }
-    }
-
-    #[test]
     fn zero_length_plan_rejected() {
-        assert!(std::panic::catch_unwind(|| FftPlan::<f64>::get(0)).is_err());
+        // 0 and every length with a prime factor above 5 have no plan.
+        for n in [0usize, 7, 11] {
+            assert!(
+                std::panic::catch_unwind(|| FftPlan::<f64>::get(n)).is_err(),
+                "n {n}"
+            );
+        }
     }
 }

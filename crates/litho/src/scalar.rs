@@ -91,8 +91,8 @@ mod private {
 ///
 /// Bounds cover everything the generic FFT/SOCS code needs: plain
 /// arithmetic, conversions to and from the `f64` reference domain, a
-/// fused multiply-add for the SIMD-path scalar tails, and per-type
-/// hooks onto the hand-written AVX2 kernels in [`crate::simd`].
+/// fused multiply-add for the SIMD-path scalar tails, and the AVX2 lane
+/// instance the [`crate::simd`] kernels are written over.
 pub trait Scalar:
     private::Sealed
     + Copy
@@ -134,158 +134,12 @@ pub trait Scalar:
     /// the AVX2 kernels (same rounding as the vector FMA lanes).
     fn mul_add(self, a: Self, b: Self) -> Self;
 
-    /// AVX2 kernel hook for `d = a · b` (split-complex pointwise).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime (on other
-    /// targets the hook falls back to the scalar body and is safe).
+    /// The AVX2 register of this type's lanes (`__m256d` for `f64`,
+    /// `__m256` for `f32`): each pointwise kernel in [`crate::simd`] is
+    /// written once over it.
     #[doc(hidden)]
-    unsafe fn cmul_avx2(
-        ar: &[Self],
-        ai: &[Self],
-        br: &[Self],
-        bi: &[Self],
-        dr: &mut [Self],
-        di: &mut [Self],
-    );
-
-    /// AVX2 kernel hook for `d = a · conj(b)`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[doc(hidden)]
-    unsafe fn cmul_conj_avx2(
-        ar: &[Self],
-        ai: &[Self],
-        br: &[Self],
-        bi: &[Self],
-        dr: &mut [Self],
-        di: &mut [Self],
-    );
-
-    /// AVX2 kernel hook for `d = a · r` (complex × real vector).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[doc(hidden)]
-    unsafe fn mul_real_avx2(ar: &[Self], ai: &[Self], r: &[Self], dr: &mut [Self], di: &mut [Self]);
-
-    /// AVX2 kernel hook for `acc += w · (re² + im²)`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[doc(hidden)]
-    unsafe fn acc_norm_sq_avx2(re: &[Self], im: &[Self], w: Self, acc: &mut [Self]);
-
-    /// AVX2 kernel hook for `acc += w · re`.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[doc(hidden)]
-    unsafe fn acc_re_avx2(re: &[Self], w: Self, acc: &mut [Self]);
-
-    /// AVX2 kernel hook for the strided blocked transpose
-    /// `dst[c·dst_stride + r] = src[r·src_stride + c]`. `seq_dst` selects
-    /// the tile walk (see `crate::simd::transpose_body`).
-    ///
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2+FMA support at runtime, and the
-    /// slices must cover `(rows-1)·src_stride + cols` and
-    /// `(cols-1)·dst_stride + rows` elements respectively.
-    #[doc(hidden)]
-    unsafe fn transpose_avx2(
-        src: &[Self],
-        src_stride: usize,
-        rows: usize,
-        cols: usize,
-        dst: &mut [Self],
-        dst_stride: usize,
-        seq_dst: bool,
-    );
-}
-
-/// Routes the six kernel hooks of one `Scalar` impl to the matching
-/// `crate::simd::avx2` functions (x86-64 builds) or the scalar bodies
-/// (everything else, where `SimdMode::Avx2` is never produced anyway).
-macro_rules! avx2_hooks {
-    ($cmul:ident, $cmul_conj:ident, $mul_real:ident, $acc_norm_sq:ident, $acc_re:ident,
-     $transpose:ident) => {
-        unsafe fn cmul_avx2(
-            ar: &[Self],
-            ai: &[Self],
-            br: &[Self],
-            bi: &[Self],
-            dr: &mut [Self],
-            di: &mut [Self],
-        ) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-            crate::simd::avx2::$cmul(ar, ai, br, bi, dr, di);
-            #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-            crate::simd::cmul_body(ar, ai, br, bi, dr, di);
-        }
-
-        unsafe fn cmul_conj_avx2(
-            ar: &[Self],
-            ai: &[Self],
-            br: &[Self],
-            bi: &[Self],
-            dr: &mut [Self],
-            di: &mut [Self],
-        ) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-            crate::simd::avx2::$cmul_conj(ar, ai, br, bi, dr, di);
-            #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-            crate::simd::cmul_conj_body(ar, ai, br, bi, dr, di);
-        }
-
-        unsafe fn mul_real_avx2(
-            ar: &[Self],
-            ai: &[Self],
-            r: &[Self],
-            dr: &mut [Self],
-            di: &mut [Self],
-        ) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-            crate::simd::avx2::$mul_real(ar, ai, r, dr, di);
-            #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-            crate::simd::mul_real_body(ar, ai, r, dr, di);
-        }
-
-        unsafe fn acc_norm_sq_avx2(re: &[Self], im: &[Self], w: Self, acc: &mut [Self]) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-            crate::simd::avx2::$acc_norm_sq(re, im, w, acc);
-            #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-            crate::simd::acc_norm_sq_body(re, im, w, acc);
-        }
-
-        unsafe fn acc_re_avx2(re: &[Self], w: Self, acc: &mut [Self]) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-            crate::simd::avx2::$acc_re(re, w, acc);
-            #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-            crate::simd::acc_re_body(re, w, acc);
-        }
-
-        unsafe fn transpose_avx2(
-            src: &[Self],
-            src_stride: usize,
-            rows: usize,
-            cols: usize,
-            dst: &mut [Self],
-            dst_stride: usize,
-            seq_dst: bool,
-        ) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
-            crate::simd::avx2::$transpose(src, src_stride, rows, cols, dst, dst_stride, seq_dst);
-            #[cfg(not(all(target_arch = "x86_64", not(feature = "scalar-only"))))]
-            crate::simd::transpose_body(src, src_stride, rows, cols, dst, dst_stride, seq_dst);
-        }
-    };
+    #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+    type Avx2: crate::simd::avx2::Lanes<Elem = Self>;
 }
 
 impl Scalar for f64 {
@@ -309,14 +163,8 @@ impl Scalar for f64 {
         f64::mul_add(self, a, b)
     }
 
-    avx2_hooks!(
-        cmul_pd,
-        cmul_conj_pd,
-        mul_real_pd,
-        acc_norm_sq_pd,
-        acc_re_pd,
-        transpose_pd
-    );
+    #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+    type Avx2 = std::arch::x86_64::__m256d;
 }
 
 impl Scalar for f32 {
@@ -340,14 +188,8 @@ impl Scalar for f32 {
         f32::mul_add(self, a, b)
     }
 
-    avx2_hooks!(
-        cmul_ps,
-        cmul_conj_ps,
-        mul_real_ps,
-        acc_norm_sq_ps,
-        acc_re_ps,
-        transpose_ps
-    );
+    #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+    type Avx2 = std::arch::x86_64::__m256;
 }
 
 #[cfg(test)]

@@ -15,18 +15,18 @@
 //!   autovectorize to baseline SSE2 on stable Rust, without FMA contraction,
 //!   so results are bit-reproducible across machines), and
 //! * an **AVX2/FMA** variant behind `std::arch` runtime detection, using
-//!   fused multiply-adds — 4 lanes wide for `f64` (`_mm256_*_pd`), 8 lanes
-//!   wide for `f32` (`_mm256_*_ps`). Faster, and within one FMA rounding of
-//!   the scalar path per operation — consumer paths are guarded by
-//!   equivalence tests at each precision's tolerance.
+//!   fused multiply-adds. Each is written once over a sealed lane
+//!   abstraction with two instances, 4×`f64` (`__m256d`) and 8×`f32`
+//!   (`__m256`), picked by the element type's [`Scalar`] lane type. Faster,
+//!   and within one FMA rounding of the scalar path per operation —
+//!   consumer paths are guarded by equivalence tests at each precision's
+//!   tolerance.
 //!
 //! Dispatch is resolved once per process from, in priority order: the
 //! `scalar-only` compile feature, the `CARDOPC_SIMD` environment variable
 //! (`off`/`0`/`scalar` forces the scalar path; anything else auto-detects),
 //! and CPUID. [`force_mode`] overrides the cached decision for equivalence
-//! tests and benchmarks. The per-type kernel selection rides on the same
-//! dispatch: [`SimdMode::Avx2`] reaches the `_pd` or `_ps` variant through
-//! the [`Scalar`] hook of the element type in play.
+//! tests and benchmarks.
 
 use crate::scalar::Scalar;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -187,7 +187,7 @@ pub(crate) fn acc_re_body<T: Scalar>(re: &[T], w: T, acc: &mut [T]) {
 
 /// Strided transpose `dst[c·dst_stride + r] = src[r·src_stride + c]`,
 /// cache-blocked in 32×32 tiles. Pure data movement — every dispatch mode
-/// produces byte-identical output; the AVX2 variants just move whole
+/// produces byte-identical output; the `f32` AVX2 variant just moves whole
 /// registers through in-register shuffles instead of one element at a
 /// time (the scalar scatter/gather is what dominates mid-size 2-D FFTs).
 ///
@@ -233,274 +233,321 @@ pub(crate) fn transpose_body<T: Scalar>(
 // ---------------------------------------------------------------------------
 // AVX2/FMA kernels (hand-written `std::arch` intrinsics).
 //
-// The `_pd` functions process 4 `f64` lanes per iteration, the `_ps` twins
-// 8 `f32` lanes — same shape, same FMA structure, double the width. The
-// `Scalar` trait's `*_avx2` hooks pick the right family per element type.
+// Each pointwise kernel is written once over the sealed `Lanes` abstraction:
+// one 256-bit register of the element type, instantiated as 4×`f64`
+// (`__m256d`) and 8×`f32` (`__m256`). `Scalar::Avx2` names the instance per
+// element type. The scalar tails use the same FMA expressions per element
+// as the vector lanes, so a kernel's output does not depend on where the
+// vector loop ends.
 // ---------------------------------------------------------------------------
 
 #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
 pub(crate) mod avx2 {
+    use crate::scalar::Scalar;
     use std::arch::x86_64::*;
 
+    /// One AVX2 register of `Elem` lanes. Sealed: the trait is unreachable
+    /// outside the crate, and its only instances are `__m256d` and `__m256`.
+    ///
     /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
+    /// Every method requires AVX2+FMA support verified at runtime; `load`
+    /// and `store` also need `N` valid elements at `p`.
+    pub trait Lanes: Copy {
+        /// The lane element type.
+        type Elem: Scalar;
+        /// Lanes per register.
+        const N: usize;
+        unsafe fn load(p: *const Self::Elem) -> Self;
+        unsafe fn store(p: *mut Self::Elem, v: Self);
+        unsafe fn splat(x: Self::Elem) -> Self;
+        unsafe fn mul(a: Self, b: Self) -> Self;
+        /// `a·b + c` with one rounding.
+        unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self;
+        /// `a·b − c` with one rounding.
+        unsafe fn fmsub(a: Self, b: Self, c: Self) -> Self;
+
+        /// Strided blocked transpose, see [`super::transpose_body`]. Pure
+        /// data movement; only widths that gain from in-register blocks
+        /// override the tiled scalar loop.
+        ///
+        /// # Safety
+        /// Slice extents as on [`super::transpose_strided`].
+        unsafe fn transpose(
+            src: &[Self::Elem],
+            src_stride: usize,
+            rows: usize,
+            cols: usize,
+            dst: &mut [Self::Elem],
+            dst_stride: usize,
+            seq_dst: bool,
+        ) {
+            super::transpose_body(src, src_stride, rows, cols, dst, dst_stride, seq_dst);
+        }
+    }
+
+    impl Lanes for __m256d {
+        type Elem = f64;
+        const N: usize = 4;
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load(p: *const f64) -> Self {
+            _mm256_loadu_pd(p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn store(p: *mut f64, v: Self) {
+            _mm256_storeu_pd(p, v)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn splat(x: f64) -> Self {
+            _mm256_set1_pd(x)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn mul(a: Self, b: Self) -> Self {
+            _mm256_mul_pd(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
+            _mm256_fmadd_pd(a, b, c)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn fmsub(a: Self, b: Self, c: Self) -> Self {
+            _mm256_fmsub_pd(a, b, c)
+        }
+        // `transpose` keeps the tiled scalar loop: measured on the fleet
+        // hardware, a 4×4 in-register block walk is ~6% *slower* at the
+        // 512² sizes the engine runs — the `f64` planes (2 MB each) are
+        // DRAM-bound, so the shuffle work buys nothing and the block walk
+        // only perturbs the hardware prefetcher.
+    }
+
+    impl Lanes for __m256 {
+        type Elem = f32;
+        const N: usize = 8;
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn store(p: *mut f32, v: Self) {
+            _mm256_storeu_ps(p, v)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn splat(x: f32) -> Self {
+            _mm256_set1_ps(x)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn mul(a: Self, b: Self) -> Self {
+            _mm256_mul_ps(a, b)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn fmadd(a: Self, b: Self, c: Self) -> Self {
+            _mm256_fmadd_ps(a, b, c)
+        }
+        #[inline]
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn fmsub(a: Self, b: Self, c: Self) -> Self {
+            _mm256_fmsub_ps(a, b, c)
+        }
+
+        /// 32×32-tiled strided transpose over in-register 8×8 blocks (the
+        /// 1 MB `f32` planes stay cache-resident, so the shuffles pay).
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn transpose(
+            src: &[f32],
+            src_stride: usize,
+            rows: usize,
+            cols: usize,
+            dst: &mut [f32],
+            dst_stride: usize,
+            seq_dst: bool,
+        ) {
+            const TILE: usize = 32;
+            let sp = src.as_ptr();
+            let dp = dst.as_mut_ptr();
+            for r0 in (0..rows).step_by(TILE) {
+                let r1 = (r0 + TILE).min(rows);
+                for c0 in (0..cols).step_by(TILE) {
+                    let c1 = (c0 + TILE).min(cols);
+                    let rb = r0 + (r1 - r0) / 8 * 8;
+                    let cb = c0 + (c1 - c0) / 8 * 8;
+                    if seq_dst {
+                        let mut c = c0;
+                        while c < cb {
+                            let mut r = r0;
+                            while r < rb {
+                                t8_ps(sp, src_stride, dp, dst_stride, r, c);
+                                r += 8;
+                            }
+                            c += 8;
+                        }
+                    } else {
+                        let mut r = r0;
+                        while r < rb {
+                            let mut c = c0;
+                            while c < cb {
+                                t8_ps(sp, src_stride, dp, dst_stride, r, c);
+                                c += 8;
+                            }
+                            r += 8;
+                        }
+                    }
+                    for r in rb..r1 {
+                        for c in c0..c1 {
+                            *dp.add(c * dst_stride + r) = *sp.add(r * src_stride + c);
+                        }
+                    }
+                    for c in cb..c1 {
+                        for r in r0..rb {
+                            *dp.add(c * dst_stride + r) = *sp.add(r * src_stride + c);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The lane instance of element type `T`.
+    type V<T> = <T as Scalar>::Avx2;
+
+    /// `d = a · b`.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2+FMA support at runtime, and every
+    /// slice must hold at least `ar.len()` elements.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cmul_pd(
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-        dr: &mut [f64],
-        di: &mut [f64],
+    pub unsafe fn cmul<T: Scalar>(
+        ar: &[T],
+        ai: &[T],
+        br: &[T],
+        bi: &[T],
+        dr: &mut [T],
+        di: &mut [T],
     ) {
         let n = ar.len();
         let mut k = 0usize;
-        while k + 4 <= n {
-            let xr = _mm256_loadu_pd(ar.as_ptr().add(k));
-            let xi = _mm256_loadu_pd(ai.as_ptr().add(k));
-            let yr = _mm256_loadu_pd(br.as_ptr().add(k));
-            let yi = _mm256_loadu_pd(bi.as_ptr().add(k));
+        while k + V::<T>::N <= n {
+            let xr = V::<T>::load(ar.as_ptr().add(k));
+            let xi = V::<T>::load(ai.as_ptr().add(k));
+            let yr = V::<T>::load(br.as_ptr().add(k));
+            let yi = V::<T>::load(bi.as_ptr().add(k));
             // re = xr·yr − xi·yi, im = xr·yi + xi·yr.
-            let re = _mm256_fmsub_pd(xr, yr, _mm256_mul_pd(xi, yi));
-            let im = _mm256_fmadd_pd(xr, yi, _mm256_mul_pd(xi, yr));
-            _mm256_storeu_pd(dr.as_mut_ptr().add(k), re);
-            _mm256_storeu_pd(di.as_mut_ptr().add(k), im);
-            k += 4;
+            let re = V::<T>::fmsub(xr, yr, V::<T>::mul(xi, yi));
+            let im = V::<T>::fmadd(xr, yi, V::<T>::mul(xi, yr));
+            V::<T>::store(dr.as_mut_ptr().add(k), re);
+            V::<T>::store(di.as_mut_ptr().add(k), im);
+            k += V::<T>::N;
         }
         while k < n {
             let (xr, xi) = (ar[k], ai[k]);
             let (yr, yi) = (br[k], bi[k]);
-            dr[k] = f64::mul_add(xr, yr, -(xi * yi));
-            di[k] = f64::mul_add(xr, yi, xi * yr);
+            dr[k] = xr.mul_add(yr, -(xi * yi));
+            di[k] = xr.mul_add(yi, xi * yr);
             k += 1;
         }
     }
 
+    /// `d = a · conj(b)`.
+    ///
     /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
+    /// Caller must have verified AVX2+FMA support at runtime, and every
+    /// slice must hold at least `ar.len()` elements.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cmul_ps(
-        ar: &[f32],
-        ai: &[f32],
-        br: &[f32],
-        bi: &[f32],
-        dr: &mut [f32],
-        di: &mut [f32],
+    pub unsafe fn cmul_conj<T: Scalar>(
+        ar: &[T],
+        ai: &[T],
+        br: &[T],
+        bi: &[T],
+        dr: &mut [T],
+        di: &mut [T],
     ) {
         let n = ar.len();
         let mut k = 0usize;
-        while k + 8 <= n {
-            let xr = _mm256_loadu_ps(ar.as_ptr().add(k));
-            let xi = _mm256_loadu_ps(ai.as_ptr().add(k));
-            let yr = _mm256_loadu_ps(br.as_ptr().add(k));
-            let yi = _mm256_loadu_ps(bi.as_ptr().add(k));
-            // re = xr·yr − xi·yi, im = xr·yi + xi·yr.
-            let re = _mm256_fmsub_ps(xr, yr, _mm256_mul_ps(xi, yi));
-            let im = _mm256_fmadd_ps(xr, yi, _mm256_mul_ps(xi, yr));
-            _mm256_storeu_ps(dr.as_mut_ptr().add(k), re);
-            _mm256_storeu_ps(di.as_mut_ptr().add(k), im);
-            k += 8;
+        while k + V::<T>::N <= n {
+            let xr = V::<T>::load(ar.as_ptr().add(k));
+            let xi = V::<T>::load(ai.as_ptr().add(k));
+            let yr = V::<T>::load(br.as_ptr().add(k));
+            let yi = V::<T>::load(bi.as_ptr().add(k));
+            // re = xr·yr + xi·yi, im = xi·yr − xr·yi.
+            let re = V::<T>::fmadd(xr, yr, V::<T>::mul(xi, yi));
+            let im = V::<T>::fmsub(xi, yr, V::<T>::mul(xr, yi));
+            V::<T>::store(dr.as_mut_ptr().add(k), re);
+            V::<T>::store(di.as_mut_ptr().add(k), im);
+            k += V::<T>::N;
         }
         while k < n {
             let (xr, xi) = (ar[k], ai[k]);
             let (yr, yi) = (br[k], bi[k]);
-            dr[k] = f32::mul_add(xr, yr, -(xi * yi));
-            di[k] = f32::mul_add(xr, yi, xi * yr);
+            dr[k] = xr.mul_add(yr, xi * yi);
+            di[k] = xi.mul_add(yr, -(xr * yi));
             k += 1;
         }
     }
 
+    /// `d = a · r`: the scalar body compiled with 256-bit lanes (plain
+    /// products, so bitwise equal to the scalar dispatch).
+    ///
     /// # Safety
     /// Caller must have verified AVX2+FMA support at runtime.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cmul_conj_pd(
-        ar: &[f64],
-        ai: &[f64],
-        br: &[f64],
-        bi: &[f64],
-        dr: &mut [f64],
-        di: &mut [f64],
-    ) {
-        let n = ar.len();
-        let mut k = 0usize;
-        while k + 4 <= n {
-            let xr = _mm256_loadu_pd(ar.as_ptr().add(k));
-            let xi = _mm256_loadu_pd(ai.as_ptr().add(k));
-            let yr = _mm256_loadu_pd(br.as_ptr().add(k));
-            let yi = _mm256_loadu_pd(bi.as_ptr().add(k));
-            // d = x·conj(y): re = xr·yr + xi·yi, im = xi·yr − xr·yi.
-            let re = _mm256_fmadd_pd(xr, yr, _mm256_mul_pd(xi, yi));
-            let im = _mm256_fmsub_pd(xi, yr, _mm256_mul_pd(xr, yi));
-            _mm256_storeu_pd(dr.as_mut_ptr().add(k), re);
-            _mm256_storeu_pd(di.as_mut_ptr().add(k), im);
-            k += 4;
-        }
-        while k < n {
-            let (xr, xi) = (ar[k], ai[k]);
-            let (yr, yi) = (br[k], bi[k]);
-            dr[k] = f64::mul_add(xr, yr, xi * yi);
-            di[k] = f64::mul_add(xi, yr, -(xr * yi));
-            k += 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn cmul_conj_ps(
-        ar: &[f32],
-        ai: &[f32],
-        br: &[f32],
-        bi: &[f32],
-        dr: &mut [f32],
-        di: &mut [f32],
-    ) {
-        let n = ar.len();
-        let mut k = 0usize;
-        while k + 8 <= n {
-            let xr = _mm256_loadu_ps(ar.as_ptr().add(k));
-            let xi = _mm256_loadu_ps(ai.as_ptr().add(k));
-            let yr = _mm256_loadu_ps(br.as_ptr().add(k));
-            let yi = _mm256_loadu_ps(bi.as_ptr().add(k));
-            // d = x·conj(y): re = xr·yr + xi·yi, im = xi·yr − xr·yi.
-            let re = _mm256_fmadd_ps(xr, yr, _mm256_mul_ps(xi, yi));
-            let im = _mm256_fmsub_ps(xi, yr, _mm256_mul_ps(xr, yi));
-            _mm256_storeu_ps(dr.as_mut_ptr().add(k), re);
-            _mm256_storeu_ps(di.as_mut_ptr().add(k), im);
-            k += 8;
-        }
-        while k < n {
-            let (xr, xi) = (ar[k], ai[k]);
-            let (yr, yi) = (br[k], bi[k]);
-            dr[k] = f32::mul_add(xr, yr, xi * yi);
-            di[k] = f32::mul_add(xi, yr, -(xr * yi));
-            k += 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn mul_real_pd(ar: &[f64], ai: &[f64], r: &[f64], dr: &mut [f64], di: &mut [f64]) {
+    pub unsafe fn mul_real<T: Scalar>(ar: &[T], ai: &[T], r: &[T], dr: &mut [T], di: &mut [T]) {
         super::mul_real_body(ar, ai, r, dr, di);
     }
 
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn mul_real_ps(ar: &[f32], ai: &[f32], r: &[f32], dr: &mut [f32], di: &mut [f32]) {
-        super::mul_real_body(ar, ai, r, dr, di);
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn acc_norm_sq_pd(re: &[f64], im: &[f64], w: f64, acc: &mut [f64]) {
-        let n = re.len();
-        let wv = _mm256_set1_pd(w);
-        let mut k = 0usize;
-        while k + 4 <= n {
-            let r = _mm256_loadu_pd(re.as_ptr().add(k));
-            let i = _mm256_loadu_pd(im.as_ptr().add(k));
-            let a = _mm256_loadu_pd(acc.as_ptr().add(k));
-            // acc += w·(r² + i²)
-            let n2 = _mm256_fmadd_pd(i, i, _mm256_mul_pd(r, r));
-            let out = _mm256_fmadd_pd(wv, n2, a);
-            _mm256_storeu_pd(acc.as_mut_ptr().add(k), out);
-            k += 4;
-        }
-        while k < n {
-            let n2 = f64::mul_add(im[k], im[k], re[k] * re[k]);
-            acc[k] = f64::mul_add(w, n2, acc[k]);
-            k += 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn acc_norm_sq_ps(re: &[f32], im: &[f32], w: f32, acc: &mut [f32]) {
-        let n = re.len();
-        let wv = _mm256_set1_ps(w);
-        let mut k = 0usize;
-        while k + 8 <= n {
-            let r = _mm256_loadu_ps(re.as_ptr().add(k));
-            let i = _mm256_loadu_ps(im.as_ptr().add(k));
-            let a = _mm256_loadu_ps(acc.as_ptr().add(k));
-            // acc += w·(r² + i²)
-            let n2 = _mm256_fmadd_ps(i, i, _mm256_mul_ps(r, r));
-            let out = _mm256_fmadd_ps(wv, n2, a);
-            _mm256_storeu_ps(acc.as_mut_ptr().add(k), out);
-            k += 8;
-        }
-        while k < n {
-            let n2 = f32::mul_add(im[k], im[k], re[k] * re[k]);
-            acc[k] = f32::mul_add(w, n2, acc[k]);
-            k += 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn acc_re_pd(re: &[f64], w: f64, acc: &mut [f64]) {
-        let n = re.len();
-        let wv = _mm256_set1_pd(w);
-        let mut k = 0usize;
-        while k + 4 <= n {
-            let r = _mm256_loadu_pd(re.as_ptr().add(k));
-            let a = _mm256_loadu_pd(acc.as_ptr().add(k));
-            _mm256_storeu_pd(acc.as_mut_ptr().add(k), _mm256_fmadd_pd(wv, r, a));
-            k += 4;
-        }
-        while k < n {
-            acc[k] = f64::mul_add(w, re[k], acc[k]);
-            k += 1;
-        }
-    }
-
-    /// # Safety
-    /// Caller must have verified AVX2+FMA support at runtime.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn acc_re_ps(re: &[f32], w: f32, acc: &mut [f32]) {
-        let n = re.len();
-        let wv = _mm256_set1_ps(w);
-        let mut k = 0usize;
-        while k + 8 <= n {
-            let r = _mm256_loadu_ps(re.as_ptr().add(k));
-            let a = _mm256_loadu_ps(acc.as_ptr().add(k));
-            _mm256_storeu_ps(acc.as_mut_ptr().add(k), _mm256_fmadd_ps(wv, r, a));
-            k += 8;
-        }
-        while k < n {
-            acc[k] = f32::mul_add(w, re[k], acc[k]);
-            k += 1;
-        }
-    }
-
-    /// `f64` transpose "kernel": delegates to the scalar tiled body.
-    ///
-    /// Measured on the fleet hardware, a 4×4 in-register `_pd` block walk
-    /// is ~6% *slower* than the plain tiled loop at the 512² sizes the
-    /// engine runs — the `f64` planes (2 MB each) are DRAM-bound, so the
-    /// shuffle work buys nothing and the block walk only perturbs the
-    /// hardware prefetcher. The 8-lane `f32` variant below is a clear win
-    /// (1 MB planes stay cache-resident), so only `f32` gets real vector
-    /// code.
+    /// `acc += w · (re² + im²)`.
     ///
     /// # Safety
-    /// Same contract as [`transpose_ps`] (safe in practice — no vector
-    /// instructions — but kept `unsafe` to match the hook signature).
-    pub unsafe fn transpose_pd(
-        src: &[f64],
-        src_stride: usize,
-        rows: usize,
-        cols: usize,
-        dst: &mut [f64],
-        dst_stride: usize,
-        seq_dst: bool,
-    ) {
-        crate::simd::transpose_body(src, src_stride, rows, cols, dst, dst_stride, seq_dst);
+    /// Caller must have verified AVX2+FMA support at runtime, and every
+    /// slice must hold at least `re.len()` elements.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn acc_norm_sq<T: Scalar>(re: &[T], im: &[T], w: T, acc: &mut [T]) {
+        let n = re.len();
+        let wv = V::<T>::splat(w);
+        let mut k = 0usize;
+        while k + V::<T>::N <= n {
+            let r = V::<T>::load(re.as_ptr().add(k));
+            let i = V::<T>::load(im.as_ptr().add(k));
+            let a = V::<T>::load(acc.as_ptr().add(k));
+            let n2 = V::<T>::fmadd(i, i, V::<T>::mul(r, r));
+            V::<T>::store(acc.as_mut_ptr().add(k), V::<T>::fmadd(wv, n2, a));
+            k += V::<T>::N;
+        }
+        while k < n {
+            let n2 = im[k].mul_add(im[k], re[k] * re[k]);
+            acc[k] = w.mul_add(n2, acc[k]);
+            k += 1;
+        }
+    }
+
+    /// `acc += w · re`.
+    ///
+    /// # Safety
+    /// Caller must have verified AVX2+FMA support at runtime, and every
+    /// slice must hold at least `re.len()` elements.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn acc_re<T: Scalar>(re: &[T], w: T, acc: &mut [T]) {
+        let n = re.len();
+        let wv = V::<T>::splat(w);
+        let mut k = 0usize;
+        while k + V::<T>::N <= n {
+            let r = V::<T>::load(re.as_ptr().add(k));
+            let a = V::<T>::load(acc.as_ptr().add(k));
+            V::<T>::store(acc.as_mut_ptr().add(k), V::<T>::fmadd(wv, r, a));
+            k += V::<T>::N;
+        }
+        while k < n {
+            acc[k] = w.mul_add(re[k], acc[k]);
+            k += 1;
+        }
     }
 
     /// One 8×8 `f32` block: `dst[(c+j)·ds + r + i] = src[(r+i)·ss + c + j]`.
@@ -540,66 +587,6 @@ pub(crate) mod avx2 {
         _mm256_storeu_ps(d.add(6 * ds), _mm256_permute2f128_ps(s2, s6, 0x31));
         _mm256_storeu_ps(d.add(7 * ds), _mm256_permute2f128_ps(s3, s7, 0x31));
     }
-
-    /// 32×32-tiled strided transpose over in-register 8×8 `f32` blocks.
-    /// `seq_dst` as on [`transpose_pd`].
-    ///
-    /// # Safety
-    /// AVX2 support verified at runtime; slice extents as for
-    /// [`transpose_pd`].
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn transpose_ps(
-        src: &[f32],
-        src_stride: usize,
-        rows: usize,
-        cols: usize,
-        dst: &mut [f32],
-        dst_stride: usize,
-        seq_dst: bool,
-    ) {
-        const TILE: usize = 32;
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        for r0 in (0..rows).step_by(TILE) {
-            let r1 = (r0 + TILE).min(rows);
-            for c0 in (0..cols).step_by(TILE) {
-                let c1 = (c0 + TILE).min(cols);
-                let rb = r0 + (r1 - r0) / 8 * 8;
-                let cb = c0 + (c1 - c0) / 8 * 8;
-                if seq_dst {
-                    let mut c = c0;
-                    while c < cb {
-                        let mut r = r0;
-                        while r < rb {
-                            t8_ps(sp, src_stride, dp, dst_stride, r, c);
-                            r += 8;
-                        }
-                        c += 8;
-                    }
-                } else {
-                    let mut r = r0;
-                    while r < rb {
-                        let mut c = c0;
-                        while c < cb {
-                            t8_ps(sp, src_stride, dp, dst_stride, r, c);
-                            c += 8;
-                        }
-                        r += 8;
-                    }
-                }
-                for r in rb..r1 {
-                    for c in c0..c1 {
-                        *dp.add(c * dst_stride + r) = *sp.add(r * src_stride + c);
-                    }
-                }
-                for c in cb..c1 {
-                    for r in r0..rb {
-                        *dp.add(c * dst_stride + r) = *sp.add(r * src_stride + c);
-                    }
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -607,10 +594,9 @@ pub(crate) mod avx2 {
 //
 // All slices must share `ar.len()` (the scalar bodies re-slice and panic on
 // shorter operands; the AVX2 kernels assume the caller upheld it, which every
-// in-crate call site does via `Field` invariants). The `SimdMode::Avx2` arm
-// routes through the element type's `Scalar` hook, which resolves to the
-// `_pd` or `_ps` kernel family (and to the scalar body on non-x86 targets,
-// where `Avx2` is never produced).
+// in-crate call site does via `Field` invariants). Builds without the AVX2
+// kernels (non-x86-64 targets, `scalar-only`) never produce
+// `SimdMode::Avx2`, and route it to the scalar bodies regardless.
 // ---------------------------------------------------------------------------
 
 /// `d = a · b` pointwise over split-complex slices.
@@ -631,10 +617,11 @@ pub(crate) fn cmul<T: Scalar>(
             && di.len() == ar.len()
     );
     match mode {
-        SimdMode::Scalar => cmul_body(ar, ai, br, bi, dr, di),
         // SAFETY: `SimdMode::Avx2` is only ever produced after runtime
         // AVX2+FMA detection (see `active_mode` / `force_mode`).
-        SimdMode::Avx2 => unsafe { T::cmul_avx2(ar, ai, br, bi, dr, di) },
+        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+        SimdMode::Avx2 => unsafe { avx2::cmul(ar, ai, br, bi, dr, di) },
+        _ => cmul_body(ar, ai, br, bi, dr, di),
     }
 }
 
@@ -649,9 +636,10 @@ pub(crate) fn cmul_conj<T: Scalar>(
     di: &mut [T],
 ) {
     match mode {
-        SimdMode::Scalar => cmul_conj_body(ar, ai, br, bi, dr, di),
         // SAFETY: `SimdMode::Avx2` implies runtime AVX2+FMA support.
-        SimdMode::Avx2 => unsafe { T::cmul_conj_avx2(ar, ai, br, bi, dr, di) },
+        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+        SimdMode::Avx2 => unsafe { avx2::cmul_conj(ar, ai, br, bi, dr, di) },
+        _ => cmul_conj_body(ar, ai, br, bi, dr, di),
     }
 }
 
@@ -665,27 +653,30 @@ pub(crate) fn mul_real<T: Scalar>(
     di: &mut [T],
 ) {
     match mode {
-        SimdMode::Scalar => mul_real_body(ar, ai, r, dr, di),
         // SAFETY: `SimdMode::Avx2` implies runtime AVX2+FMA support.
-        SimdMode::Avx2 => unsafe { T::mul_real_avx2(ar, ai, r, dr, di) },
+        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+        SimdMode::Avx2 => unsafe { avx2::mul_real(ar, ai, r, dr, di) },
+        _ => mul_real_body(ar, ai, r, dr, di),
     }
 }
 
 /// `acc += w · (re² + im²)` — the SOCS reduction step.
 pub(crate) fn acc_norm_sq<T: Scalar>(mode: SimdMode, re: &[T], im: &[T], w: T, acc: &mut [T]) {
     match mode {
-        SimdMode::Scalar => acc_norm_sq_body(re, im, w, acc),
         // SAFETY: `SimdMode::Avx2` implies runtime AVX2+FMA support.
-        SimdMode::Avx2 => unsafe { T::acc_norm_sq_avx2(re, im, w, acc) },
+        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+        SimdMode::Avx2 => unsafe { avx2::acc_norm_sq(re, im, w, acc) },
+        _ => acc_norm_sq_body(re, im, w, acc),
     }
 }
 
 /// `acc += w · re` — the ILT gradient reduction step.
 pub(crate) fn acc_re<T: Scalar>(mode: SimdMode, re: &[T], w: T, acc: &mut [T]) {
     match mode {
-        SimdMode::Scalar => acc_re_body(re, w, acc),
         // SAFETY: `SimdMode::Avx2` implies runtime AVX2+FMA support.
-        SimdMode::Avx2 => unsafe { T::acc_re_avx2(re, w, acc) },
+        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
+        SimdMode::Avx2 => unsafe { avx2::acc_re(re, w, acc) },
+        _ => acc_re_body(re, w, acc),
     }
 }
 
@@ -709,13 +700,16 @@ pub(crate) fn transpose_strided<T: Scalar>(
     debug_assert!(rows == 0 || cols == 0 || (rows - 1) * src_stride + cols <= src.len());
     debug_assert!(rows == 0 || cols == 0 || (cols - 1) * dst_stride + rows <= dst.len());
     match mode {
-        SimdMode::Scalar => transpose_body(src, src_stride, rows, cols, dst, dst_stride, seq_dst),
         // SAFETY: `SimdMode::Avx2` implies runtime AVX2+FMA support; the
         // extent requirements are the debug-asserted bounds above, which
         // every in-crate call site upholds via `Field` invariants.
+        #[cfg(all(target_arch = "x86_64", not(feature = "scalar-only")))]
         SimdMode::Avx2 => unsafe {
-            T::transpose_avx2(src, src_stride, rows, cols, dst, dst_stride, seq_dst)
+            <T::Avx2 as avx2::Lanes>::transpose(
+                src, src_stride, rows, cols, dst, dst_stride, seq_dst,
+            )
         },
+        _ => transpose_body(src, src_stride, rows, cols, dst, dst_stride, seq_dst),
     }
 }
 
@@ -794,9 +788,84 @@ mod tests {
         check_modes_agree::<f32>(1e-5);
     }
 
+    /// Every AVX2 pointwise kernel equals, bit for bit and per element, the
+    /// FMA expression of its scalar tail — at every length 0..=33, so the
+    /// vector body, the tail, and each split between them are covered for
+    /// both the 4-lane and the 8-lane width.
+    fn check_avx2_matches_fma_expressions<T: Scalar>() {
+        if !avx2_available() {
+            return;
+        }
+        let mode = SimdMode::Avx2;
+        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        for n in 0..=33usize {
+            let ar = randv::<T>(n, 11);
+            let ai = randv::<T>(n, 12);
+            let br = randv::<T>(n, 13);
+            let bi = randv::<T>(n, 14);
+            let acc0 = randv::<T>(n, 15);
+            let w = T::from_f64(0.7);
+            let (mut dr, mut di) = (vec![T::ZERO; n], vec![T::ZERO; n]);
+            let (mut er, mut ei) = (vec![T::ZERO; n], vec![T::ZERO; n]);
+
+            cmul(mode, &ar, &ai, &br, &bi, &mut dr, &mut di);
+            for k in 0..n {
+                er[k] = ar[k].mul_add(br[k], -(ai[k] * bi[k]));
+                ei[k] = ar[k].mul_add(bi[k], ai[k] * br[k]);
+            }
+            assert_eq!((bits(&dr), bits(&di)), (bits(&er), bits(&ei)), "cmul n {n}");
+
+            cmul_conj(mode, &ar, &ai, &br, &bi, &mut dr, &mut di);
+            for k in 0..n {
+                er[k] = ar[k].mul_add(br[k], ai[k] * bi[k]);
+                ei[k] = ai[k].mul_add(br[k], -(ar[k] * bi[k]));
+            }
+            assert_eq!(
+                (bits(&dr), bits(&di)),
+                (bits(&er), bits(&ei)),
+                "cmul_conj n {n}"
+            );
+
+            mul_real(mode, &ar, &ai, &br, &mut dr, &mut di);
+            for k in 0..n {
+                er[k] = ar[k] * br[k];
+                ei[k] = ai[k] * br[k];
+            }
+            assert_eq!(
+                (bits(&dr), bits(&di)),
+                (bits(&er), bits(&ei)),
+                "mul_real n {n}"
+            );
+
+            let mut acc = acc0.clone();
+            acc_norm_sq(mode, &ar, &ai, w, &mut acc);
+            for k in 0..n {
+                er[k] = w.mul_add(ai[k].mul_add(ai[k], ar[k] * ar[k]), acc0[k]);
+            }
+            assert_eq!(bits(&acc), bits(&er), "acc_norm_sq n {n}");
+
+            let mut acc = acc0.clone();
+            acc_re(mode, &ar, w, &mut acc);
+            for k in 0..n {
+                er[k] = w.mul_add(ar[k], acc0[k]);
+            }
+            assert_eq!(bits(&acc), bits(&er), "acc_re n {n}");
+        }
+    }
+
+    #[test]
+    fn avx2_pointwise_kernels_match_fma_expressions_bitwise_f64() {
+        check_avx2_matches_fma_expressions::<f64>();
+    }
+
+    #[test]
+    fn avx2_pointwise_kernels_match_fma_expressions_bitwise_f32() {
+        check_avx2_matches_fma_expressions::<f32>();
+    }
+
     /// Transpose is pure data movement: both dispatch modes must produce
     /// bitwise-identical output at shapes exercising the vector blocks
-    /// (4×4 pd / 8×8 ps), the scalar row/col remainders, and non-trivial
+    /// (8×8 `f32`), the scalar row/col remainders, and non-trivial
     /// destination strides.
     fn check_transpose_modes_identical<T: Scalar>() {
         for (rows, cols) in [(1usize, 1usize), (3, 5), (8, 8), (9, 7), (33, 40), (64, 64)] {

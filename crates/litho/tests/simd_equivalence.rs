@@ -67,10 +67,10 @@ fn max_rel_diff(a: &Grid, b: &Grid) -> f64 {
 /// strides 1/4/≥8 (with and without odd-`m` tails), radix-2 at strides
 /// 1/≥8, radix-3 at the generic fallback (s<8) and vector strides,
 /// radix-5 at vector strides and its non-multiple-of-8 stride fallback
-/// (e.g. 60 = 4·3·5 hits s=12). Bluestein lengths are excluded: their
-/// convolution runs through the pointwise FMA kernels, which differ from
-/// scalar by design (one rounding), so only 5-smooth lengths carry the
-/// bitwise guarantee.
+/// (e.g. 60 = 4·3·5 hits s=12). Every plan is a pure Stockham pipeline
+/// (plans exist for 5-smooth lengths only), so no transform touches the
+/// pointwise FMA kernels, which differ from scalar by design (one
+/// rounding).
 #[test]
 fn fft_f32_plan_bitwise_scalar_vs_avx2() {
     let _guard = MODE_LOCK.lock().unwrap();

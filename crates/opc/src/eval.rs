@@ -214,14 +214,17 @@ pub fn engine_for_extent_at(
     precision: cardopc_litho::Precision,
 ) -> Result<LithoEngine, OpcError> {
     const MAX_EDGE: usize = 4096;
+    // Checked before rounding: a tiny pitch asks for an astronomically
+    // large (or, saturated, `usize::MAX`) edge. 4096 is itself 5-smooth,
+    // so any `needed` that passes rounds to an edge that fits.
     let needed = (width_nm.max(height_nm) / pitch).ceil() as usize;
-    let edge = cardopc_litho::next_five_smooth(needed);
-    if edge > MAX_EDGE {
+    if needed > MAX_EDGE {
         return Err(OpcError::ClipTooLarge {
-            needed: edge,
+            needed,
             max: MAX_EDGE,
         });
     }
+    let edge = cardopc_litho::next_five_smooth(needed);
     let mut engine = LithoEngine::with_precision(Default::default(), edge, edge, pitch, precision)?;
     engine.calibrate_threshold();
     Ok(engine)
@@ -254,6 +257,16 @@ mod tests {
             engine_for_extent(100_000.0, 100_000.0, 1.0),
             Err(OpcError::ClipTooLarge { .. })
         ));
+        // Tiny pitches are refused before the edge is rounded: ~2e15 px and
+        // a `usize::MAX`-saturated request both fail at once.
+        for pitch in [1e-12, 1e-300] {
+            let start = std::time::Instant::now();
+            assert!(matches!(
+                engine_for_extent(2048.0, 2048.0, pitch),
+                Err(OpcError::ClipTooLarge { max: 4096, .. })
+            ));
+            assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        }
     }
 
     #[test]

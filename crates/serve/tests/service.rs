@@ -593,6 +593,26 @@ fn failed_jobs_surface_the_underlying_error_detail() {
 }
 
 #[test]
+fn a_job_with_a_tiny_pitch_fails_fast_instead_of_hanging() {
+    // The wire accepts any finite positive pitch. At 1e-9 nm the 1024 nm
+    // windows would need ~1e12-pixel grids: the engine must refuse that
+    // up front, so the job settles as failed within seconds.
+    let (server, addr, root) = start("tiny-pitch", 4, 1);
+    let body = SMOKE_JOB.replace(r#""pitch": 16.0"#, r#""pitch": 1e-9"#);
+    assert_ne!(body, SMOKE_JOB);
+    let id = submit(addr, &body);
+    let doc = poll_until(addr, &id, Duration::from_secs(20), |doc| {
+        matches!(state(doc), "done" | "failed" | "cancelled")
+    });
+    assert_eq!(state(&doc), "failed", "{doc:?}");
+    let error = doc.get("error").unwrap().as_str().unwrap();
+    assert!(error.contains("maximum is 4096"), "{error:?}");
+
+    drop(server);
+    let _ = std::fs::remove_dir_all(root);
+}
+
+#[test]
 fn registered_fleet_workers_run_jobs_byte_identically() {
     let (server, addr, root) = start("fleet", 4, 1);
 
